@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .geometry import row_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,10 @@ class ObjectCloud:
 def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
     """Per-point normals from local PCA, oriented outward from the centroid.
 
-    Brute-force k-nearest-neighbour search; fine for desk-scale clouds.
+    Brute-force k-nearest-neighbour search: O(N^2) work in 512-row chunks,
+    O(512 N) memory for one chunk's squared distances. The PCA runs on all
+    points at once, with one stacked ``eigh``, and its result is bitwise
+    equal to a per-point ``np.cov`` / ``eigh`` loop.
     """
     p = np.asarray(points, dtype=float)
     n_points = p.shape[0]
@@ -83,20 +87,21 @@ def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
         return out
 
     k = min(neighbors, n_points - 1)
-    centroid = p.mean(axis=0)
-    normals = np.empty_like(p)
+    idx = np.empty((n_points, k + 1), dtype=np.intp)
     chunk = 512
     for start in range(0, n_points, chunk):
         block = p[start : start + chunk]
-        d2 = ((block[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argpartition(d2, kth=k, axis=1)[:, : k + 1]
-        for row, base in enumerate(range(start, min(start + chunk, n_points))):
-            nbrs = p[idx[row]]
-            cov = np.cov(nbrs.T)
-            _, vecs = np.linalg.eigh(cov)
-            normal = vecs[:, 0]
-            outward = p[base] - centroid
-            if normal @ outward < 0:
-                normal = -normal
-            normals[base] = normal / np.linalg.norm(normal)
-    return normals
+        # dx^2 + dy^2 + dz^2 in this order rounds like a sum over the last axis.
+        d2 = (block[:, None, 0] - p[None, :, 0]) ** 2
+        d2 += (block[:, None, 1] - p[None, :, 1]) ** 2
+        d2 += (block[:, None, 2] - p[None, :, 2]) ** 2
+        idx[start : start + chunk] = np.argpartition(d2, kth=k, axis=1)[:, : k + 1]
+
+    # Same operations, in the same order, as np.cov on each neighbourhood.
+    nbrs = p[idx]
+    x = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = (x.transpose(0, 2, 1) @ x) * (1.0 / k)
+    normals = np.linalg.eigh(cov)[1][:, :, 0]
+    outward = p - p.mean(axis=0)
+    normals = np.where(row_dot(normals, outward)[:, None] < 0, -normals, normals)
+    return normals / np.sqrt(row_dot(normals, normals))[:, None]

@@ -43,6 +43,16 @@ def unit(value, tol: float = 1e-9, name: str = "vector") -> np.ndarray:
     return v / n
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (M, 3) arrays.
+
+    Each entry is bitwise equal to the 1-D ``a[i] @ b[i]``, and its square
+    root to ``np.linalg.norm(a[i])`` when b is a. ``einsum`` or
+    ``(a * b).sum(1)`` sum in another order and differ in the last bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def is_rotation(matrix: np.ndarray, tol: float = VERIFY_TOL) -> bool:
     """True if matrix is orthonormal with determinant +1 within tol."""
     m = np.asarray(matrix, dtype=float)

@@ -23,7 +23,7 @@ from .errors import (
     NoCandidatesFound,
     SchemaError,
 )
-from .geometry import RigidTransform
+from .geometry import RigidTransform, row_dot
 from .hand_model import PosedHand, geometric_center, hand_direction
 
 # Two-finger parallel gripper jaw limit (74 mm).
@@ -191,15 +191,6 @@ def clearance_check(
 
 # --- offline antipodal candidate generation --------------------------------------
 
-def _perpendicular(axis: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector perpendicular to axis."""
-    pick = np.argmin(np.abs(axis))
-    basis = np.zeros(3)
-    basis[pick] = 1.0
-    perp = np.cross(axis, basis)
-    return perp / np.linalg.norm(perp)
-
-
 def antipodal_candidates(
     cloud: ObjectCloud,
     max_width: float = MAX_JAW_WIDTH_M,
@@ -251,29 +242,35 @@ def antipodal_candidates(
     if ii.size == 0:
         raise NoCandidatesFound("no opposing point pair fits the jaw")
 
-    raw = []
-    for a, b, u, width in zip(ii, jj, axis, sep):
-        midpoint = 0.5 * (points[a] + points[b])
-        away = midpoint - centroid
-        away = away - (away @ u) * u
-        if np.linalg.norm(away) < 1e-9:
-            approach = _perpendicular(u)
-        else:
-            # Approach points base->fingers, i.e. in toward the object.
-            approach = -away / np.linalg.norm(away)
-        rotation = np.column_stack([u, np.cross(approach, u), approach])
-        raw.append((midpoint, rotation, float(width)))
+    midpoint = 0.5 * (points[ii] + points[jj])
+    away = midpoint - centroid
+    away = away - row_dot(away, axis)[:, None] * axis
+    away_norm = np.sqrt(row_dot(away, away))
+    near = away_norm < 1e-9
+    far = ~near
+    # Approach points base->fingers, i.e. in toward the object.
+    approach = np.empty_like(away)
+    approach[far] = -away[far] / away_norm[far, None]
+    if near.any():
+        # The pair axis passes through the centroid: a fixed perpendicular.
+        u = axis[near]
+        basis = np.zeros_like(u)
+        basis[np.arange(u.shape[0]), np.argmin(np.abs(u), axis=1)] = 1.0
+        perp = np.cross(u, basis)
+        approach[near] = perp / np.sqrt(row_dot(perp, perp))[:, None]
+    rotation = np.stack([axis, np.cross(approach, axis), approach], axis=2)
 
-    raw.sort(key=lambda item: (tuple(item[0]), tuple(item[1].reshape(-1)), item[2]))
-    if len(raw) > count:
-        chosen = sorted(rng.choice(len(raw), size=count, replace=False).tolist())
-        raw = [raw[i] for i in chosen]
+    # Canonical order: midpoint, then row-major rotation, then width.
+    keys = (sep, *rotation.reshape(-1, 9).T[::-1], *midpoint.T[::-1])
+    order = np.lexsort(keys)
+    if order.size > count:
+        order = order[np.sort(rng.choice(order.size, size=count, replace=False))]
 
     out = []
-    for midpoint, rotation, width in raw:
+    for i in order:
         cand = GraspCandidate(
-            transform=RigidTransform(rotation, midpoint),
-            width=width,
+            transform=RigidTransform(rotation[i], midpoint[i]),
+            width=float(sep[i]),
             source="antipodal-sampler",
         )
         cand.validate()

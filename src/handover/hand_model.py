@@ -370,11 +370,15 @@ def frame_from_joints(joints) -> HandFrame:
     j = np.asarray(joints, dtype=float)
     if j.shape != (NUM_KEYPOINTS, 3) or not np.all(np.isfinite(j)):
         raise HandoverError(f"expected finite ({NUM_KEYPOINTS}, 3) joints")
-    handed = classify_handedness(j)
+    return _frame_of_handed_joints(j, classify_handedness(j))
+
+
+def _frame_of_handed_joints(joints: np.ndarray, handedness: str) -> HandFrame:
+    """frame_from_joints for checked joints whose handedness is known."""
     return build_frame(
-        geometric_center(j),
-        direction_from_joints(j),
-        normal_from_joints(j, handed),
+        geometric_center(joints),
+        direction_from_joints(joints),
+        normal_from_joints(joints, handedness),
     )
 
 

@@ -52,8 +52,9 @@ from .hand_model import (
     HandModelParams,
     HandPose,
     PosedHand,
+    _frame_of_handed_joints,
     classify_handedness,
-    frame_from_joints,
+    frame_from_joints,  # noqa: F401  bench/tracer.py wraps it at this attribute
     hand_frame_of,
     lbs_forward,
 )
@@ -516,7 +517,7 @@ def match_to_observation(
             f"observed a {observed_handedness} hand, task expects {config.task.handedness}"
         )
     try:
-        real = frame_from_joints(joints)
+        real = _frame_of_handed_joints(joints, observed_handedness)
     except (DegenerateDirection, DegenerateNormal) as exc:
         raise DegenerateObservation(str(exc)) from exc
     return transport_grasp(config.hand_frame, real, config.grasp.transform)

@@ -25,7 +25,7 @@ from handover.grasp import (
     select_grasp,
 )
 from handover.hand_model import HandPose, geometric_center, hand_direction, lbs_forward
-from handover.synthetic import box_cloud, synthetic_hand_params
+from handover.synthetic import box_cloud, cylinder_cloud, synthetic_hand_params
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,102 @@ def _candidate_with_approach(approach, translation, width=0.04):
     x /= np.linalg.norm(x)
     rotation = np.column_stack([x, np.cross(approach, x), approach])
     return _candidate(rotation, translation, width)
+
+
+def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction_half_angle=0.3):
+    """The per-pair loop and tuple-key sort antipodal_candidates was written as.
+
+    Returns [(rotation, midpoint, width)]; the vectorised sampler must match
+    it bit for bit, including the order of its RNG draws.
+    """
+    cloud = cloud.with_normals()
+    points, normals, centroid = cloud.points, cloud.normals, cloud.centroid
+    n_points = points.shape[0]
+    if n_points < 2:
+        raise NoCandidatesFound("need at least two points")
+    effective_width = min(float(max_width), MAX_JAW_WIDTH_M)
+    cos_cone = np.cos(friction_half_angle)
+    rng = np.random.default_rng(seed)
+    if n_points <= 256:
+        ii, jj = np.triu_indices(n_points, k=1)
+    else:
+        n_pairs = max(count * 200, 2000)
+        ii = rng.integers(0, n_points, size=n_pairs)
+        jj = rng.integers(0, n_points, size=n_pairs)
+        keep = ii < jj
+        ii, jj = ii[keep], jj[keep]
+    span = points[jj] - points[ii]
+    sep = np.linalg.norm(span, axis=1)
+    ok = (sep > 1e-9) & (sep <= effective_width)
+    ii, jj, span, sep = ii[ok], jj[ok], span[ok], sep[ok]
+    axis = span / sep[:, None]
+    opposing = (np.einsum("ij,ij->i", normals[ii], axis) <= -cos_cone) & (
+        np.einsum("ij,ij->i", normals[jj], axis) >= cos_cone
+    )
+    ii, jj, axis, sep = ii[opposing], jj[opposing], axis[opposing], sep[opposing]
+    if ii.size == 0:
+        raise NoCandidatesFound("no opposing point pair fits the jaw")
+
+    raw = []
+    for a, b, u, width in zip(ii, jj, axis, sep):
+        midpoint = 0.5 * (points[a] + points[b])
+        away = midpoint - centroid
+        away = away - (away @ u) * u
+        if np.linalg.norm(away) < 1e-9:
+            basis = np.zeros(3)
+            basis[np.argmin(np.abs(u))] = 1.0
+            perp = np.cross(u, basis)
+            approach = perp / np.linalg.norm(perp)
+        else:
+            approach = -away / np.linalg.norm(away)
+        rotation = np.column_stack([u, np.cross(approach, u), approach])
+        raw.append((rotation, midpoint, float(width)))
+    raw.sort(key=lambda item: (tuple(item[1]), tuple(item[0].reshape(-1)), item[2]))
+    if len(raw) > count:
+        chosen = sorted(rng.choice(len(raw), size=count, replace=False).tolist())
+        raw = [raw[i] for i in chosen]
+    return raw
+
+
+def _jittered(cloud, seed):
+    rng = np.random.default_rng(seed)
+    points = cloud.points + rng.normal(scale=5e-4, size=cloud.points.shape)
+    return ObjectCloud(cloud.name, points).with_normals()
+
+
+# Clouds of at most 256 points take the all-pairs path, larger ones the
+# random-pair path. The jittered boxes have fewer qualifying pairs than
+# count=40, so every qualifying pair is returned.
+_ALL_PAIRS_CLOUDS = [
+    box_cloud(per_edge=3),  # 54 points
+    box_cloud(size=(0.05, 0.04, 0.03), per_edge=4),  # 96
+    box_cloud(),  # 216
+    cylinder_cloud(rings=5, per_ring=10),  # 50
+    cylinder_cloud(),  # 240
+    cylinder_cloud(rings=16, per_ring=16),  # 256
+]
+_RANDOM_PAIR_CLOUDS = [
+    _jittered(cylinder_cloud(rings=13, per_ring=20), 1),  # 257+ points: 260
+    _jittered(box_cloud(per_edge=7), 2),  # 294
+    _jittered(cylinder_cloud(rings=40, per_ring=25), 3),  # 1000
+    _jittered(box_cloud(size=(0.2, 0.2, 0.06), per_edge=18), 4),  # 1944
+]
+
+
+def _assert_matches_reference(cloud, count, seed):
+    try:
+        expected = _reference_antipodal(cloud, count, seed)
+    except NoCandidatesFound:
+        with pytest.raises(NoCandidatesFound):
+            antipodal_candidates(cloud, count=count, seed=seed)
+        return 0
+    out = antipodal_candidates(cloud, count=count, seed=seed)
+    assert len(out) == len(expected)
+    for cand, (rotation, midpoint, width) in zip(out, expected):
+        assert np.array_equal(cand.transform.rotation, rotation)
+        assert np.array_equal(cand.transform.translation, midpoint)
+        assert cand.width == width
+    return len(expected)
 
 
 class TestCenterAndDirection:
@@ -254,7 +350,31 @@ class TestAntipodal:
         closing = cand.transform.rotation[:, 0]
         assert np.allclose(np.abs(closing), (1, 0, 0), atol=1e-12)
         assert np.allclose(cand.transform.translation, 0.0, atol=1e-12)
+        # The pair axis passes through the centroid, so the approach is the
+        # fixed perpendicular x cross e_y.
+        assert np.array_equal(cand.transform.rotation[:, 2], (0.0, 0.0, 1.0))
         assert cand.source == "antipodal-sampler"
+
+    @pytest.mark.parametrize("cloud", _ALL_PAIRS_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}")
+    def test_all_pairs_path_matches_reference_loop(self, cloud):
+        assert len(cloud.points) <= 256
+        for seed in range(10):
+            # 10**6 is more than there are pairs: all of them, in order.
+            for count in (1, 16, 10**6):
+                _assert_matches_reference(cloud, count, seed)
+
+    @pytest.mark.parametrize(
+        "cloud", _RANDOM_PAIR_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}"
+    )
+    def test_random_pair_path_matches_reference_loop(self, cloud):
+        assert 256 < len(cloud.points) <= 2000
+        emitted = [
+            _assert_matches_reference(cloud, count, seed)
+            for seed in range(10)
+            for count in (1, 16, 40)
+        ]
+        if cloud.name == "box":
+            assert max(emitted[2::3]) < 40
 
     def test_box_widths_within_jaw_range(self):
         cloud = box_cloud(size=(0.11, 0.09, 0.05))

@@ -282,6 +282,21 @@ class TestMatch:
         with pytest.raises(DegenerateObservation):
             match_to_observation(cylinder_config, np.zeros((21, 3)))
 
+    def test_handedness_classified_once_per_match(self, cylinder_config, monkeypatch):
+        from handover import hand_model
+
+        calls = []
+        original = hand_model.classify_handedness
+
+        def counting(joints):
+            calls.append(1)
+            return original(joints)
+
+        monkeypatch.setattr(hand_model, "classify_handedness", counting)
+        monkeypatch.setattr(pipeline, "classify_handedness", counting)
+        match_to_observation(cylinder_config, cylinder_config.hand.joints + 0.1)
+        assert len(calls) == 1
+
     def test_transport_grasp_against_frames(self, rng):
         for _ in range(50):
             imagined, real = random_frame(rng), random_frame(rng)
