@@ -15,15 +15,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import io_formats, pipeline, synthetic
-from .errors import HandoverError, InputFormatError, SchemaError
+from .errors import HandoverError, InputFormatError, SchemaError, load_json_file
 from .grasp import MAX_JAW_WIDTH_M, SelectionConfig
-from .hand_model import load_hand_model
+from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
-    ENDPOINT_MODEL_ENV,
-    ENDPOINT_TOKEN_ENV,
     ENDPOINT_URL_ENV,
     EndpointConfig,
     EndpointResolver,
@@ -40,25 +36,13 @@ from .intent import (
 )
 
 
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _load_keypoints(path) -> np.ndarray:
-    data = _load_json(path)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (21, 3):
-        raise SchemaError(f"{path}: keypoints must be a 21x3 array, got {arr.shape}")
-    return arr
+def _load_keypoints(path):
+    return checked_keypoints(load_json_file(path), SchemaError, str(path))
 
 
 def _settings(args) -> dict:
     if args.settings:
-        doc = _load_json(args.settings)
+        doc = load_json_file(args.settings)
         if not isinstance(doc, dict):
             raise SchemaError(f"{args.settings}: settings must be a JSON object")
         return doc
@@ -75,28 +59,6 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
         distance_weight=float(pick(args.distance_weight, "distance_weight", 1.0)),
         cosine_mode=str(pick(args.cosine_mode, "cosine_mode", "signed")),
         clearance_margin=float(pick(args.clearance, "clearance_margin", 0.005)),
-    )
-
-
-def _endpoint_config(args, settings: dict) -> EndpointConfig:
-    # Precedence: flags > environment > settings file.
-    ep_settings = settings.get("endpoint", {})
-    url = args.endpoint or os.environ.get(ENDPOINT_URL_ENV) or ep_settings.get("base_url")
-    if not url:
-        raise HandoverError("no endpoint URL given (flag, env, or settings file)")
-    model = (
-        getattr(args, "model", None)
-        or os.environ.get(ENDPOINT_MODEL_ENV)
-        or ep_settings.get("model")
-        or "default"
-    )
-    token = os.environ.get(ENDPOINT_TOKEN_ENV) or ep_settings.get("api_token")
-    return EndpointConfig(
-        base_url=url,
-        model=model,
-        timeout_s=float(getattr(args, "timeout", None) or ep_settings.get("timeout_s", 30.0)),
-        retries=int(ep_settings.get("retries", 1)),
-        api_token=token,
     )
 
 
@@ -120,7 +82,12 @@ def _cmd_infer(args) -> int:
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
     if args.endpoint or (not args.keypoints and os.environ.get(ENDPOINT_URL_ENV)):
-        config = _endpoint_config(args, settings)
+        config = EndpointConfig.from_env(
+            settings.get("endpoint"),
+            base_url=args.endpoint,
+            model=args.model,
+            timeout_s=args.timeout,
+        )
         image_bytes = None
         if args.image:
             with open(args.image, "rb") as fh:
@@ -142,7 +109,7 @@ def _cmd_infer(args) -> int:
 def _cmd_imagine(args) -> int:
     settings = _settings(args)
     cloud = io_formats.load_ply(args.cloud)
-    task = TaskDescription.from_dict(_load_json(args.task))
+    task = TaskDescription.from_dict(load_json_file(args.task))
 
     if args.poses:
         hand_provider = pipeline.CannedPoseProvider.from_file(args.poses)
@@ -185,7 +152,13 @@ def _cmd_evaluate(args) -> int:
     catalog = load_catalog(args.catalog)
     corpus = load_corpus(args.corpus)
     if args.endpoint:
-        resolver = EndpointResolver(catalog, _endpoint_config(args, settings))
+        config = EndpointConfig.from_env(
+            settings.get("endpoint"),
+            base_url=args.endpoint,
+            model=args.model,
+            timeout_s=args.timeout,
+        )
+        resolver = EndpointResolver(catalog, config)
     else:
         resolver = RuleResolver(catalog)
     report = evaluate_corpus(corpus, resolver, catalog)

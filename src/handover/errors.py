@@ -3,7 +3,11 @@
 Two broad families matter to callers: ``InputFormatError`` covers malformed
 files and schema violations (CLI exit code 2), everything else derived from
 ``HandoverError`` is a semantic/validation failure (CLI exit code 1).
+The JSON-file loader lives here too, so that every module that reads a file
+maps unreadable JSON to ``SchemaError`` the same way.
 """
+
+import json
 
 
 class HandoverError(Exception):
@@ -136,3 +140,12 @@ class UnsupportedEncoding(InputFormatError):
 
 class SchemaError(InputFormatError):
     """JSON container violates its declared schema."""
+
+
+def load_json_file(path):
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 JSON raise SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc

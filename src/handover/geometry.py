@@ -53,15 +53,6 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def is_rotation(matrix: np.ndarray, tol: float = VERIFY_TOL) -> bool:
-    """True if matrix is orthonormal with determinant +1 within tol."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        return False
-    ortho = np.linalg.norm(m.T @ m - np.eye(3))
-    return ortho <= tol and abs(np.linalg.det(m) - 1.0) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rigid motion x -> rotation @ x + translation."""
@@ -266,11 +257,6 @@ def quat_multiply(a, b) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
-
-
-def quat_conjugate(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array([w, -x, -y, -z])
 
 
 def quat_to_matrix(q) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
     InvalidCandidate,
     NoCandidatesFound,
     SchemaError,
+    load_json_file,
 )
 from .geometry import RigidTransform, row_dot
 from .hand_model import PosedHand, geometric_center, hand_direction
@@ -287,11 +288,7 @@ def save_candidates(candidates: Sequence[GraspCandidate], path) -> None:
 
 def load_candidates(path) -> list[GraspCandidate]:
     """Load candidates from a JSON array; width/rotation limits are enforced."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"grasp file is not valid JSON: {exc}") from exc
+    data = load_json_file(path)
     if not isinstance(data, list):
         raise SchemaError("grasp file must contain a JSON array")
     out = []

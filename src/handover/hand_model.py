@@ -36,6 +36,7 @@ from .errors import (
     ModelMismatch,
     ParallelAxes,
     SchemaError,
+    load_json_file,
 )
 from .geometry import HandFrame, build_frame, rot6d_to_matrix
 
@@ -205,17 +206,11 @@ class PosedHand:
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        j = np.array(self.joints, dtype=float)
-        if v.shape != (NUM_VERTICES, 3):
-            raise ModelMismatch(f"vertices must be ({NUM_VERTICES}, 3), got {v.shape}")
-        if j.shape != (NUM_KEYPOINTS, 3):
-            raise ModelMismatch(f"joints must be ({NUM_KEYPOINTS}, 3), got {j.shape}")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(j))):
-            raise ModelMismatch("posed hand contains non-finite coordinates")
+        if v.shape != (NUM_VERTICES, 3) or not np.all(np.isfinite(v)):
+            raise ModelMismatch(f"vertices must be finite ({NUM_VERTICES}, 3), got {v.shape}")
         v.setflags(write=False)
-        j.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "joints", j)
+        object.__setattr__(self, "joints", checked_keypoints(self.joints, ModelMismatch, "joints"))
 
 
 # --- linear blend skinning -----------------------------------------------------
@@ -365,11 +360,24 @@ def hand_frame_of(hand: PosedHand) -> HandFrame:
     )
 
 
+def checked_keypoints(
+    keypoints, error: type[HandoverError], source: str = "keypoints"
+) -> np.ndarray:
+    """Keypoints as a new read-only float (21, 3) array of finite values, else ``error``."""
+    wanted = f"{source} must hold finite ({NUM_KEYPOINTS}, 3) numbers"
+    try:
+        kp = np.array(keypoints, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{wanted}: {exc}") from exc
+    if kp.shape != (NUM_KEYPOINTS, 3) or not np.all(np.isfinite(kp)):
+        raise error(f"{wanted}, got shape {kp.shape}")
+    kp.setflags(write=False)
+    return kp
+
+
 def frame_from_joints(joints) -> HandFrame:
     """Hand frame from observed keypoints only (center over the 21 joints)."""
-    j = np.asarray(joints, dtype=float)
-    if j.shape != (NUM_KEYPOINTS, 3) or not np.all(np.isfinite(j)):
-        raise HandoverError(f"expected finite ({NUM_KEYPOINTS}, 3) joints")
+    j = checked_keypoints(joints, HandoverError)
     return _frame_of_handed_joints(j, classify_handedness(j))
 
 
@@ -387,76 +395,70 @@ def _frame_of_handed_joints(joints: np.ndarray, handedness: str) -> HandFrame:
 HAND_MODEL_SCHEMA = "hand-model/1"
 
 
-def _encode_f32(arr: np.ndarray) -> str:
+def _encode_array(arr: np.ndarray, dtype: str = "<f4") -> str:
     return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        np.ascontiguousarray(arr, dtype=dtype).tobytes()
     ).decode("ascii")
 
 
-def _decode_f32(data: str, shape: tuple, name: str) -> np.ndarray:
+def _decode_array(data: str, shape: tuple, name: str, dtype: str = "<f4") -> np.ndarray:
+    """Inverse of _encode_array, widened to float64 or the default int."""
     try:
         raw = base64.b64decode(data.encode("ascii"), validate=True)
     except Exception as exc:
         raise SchemaError(f"{name}: invalid base64") from exc
-    expected = int(np.prod(shape)) * 4
+    wire = np.dtype(dtype)
+    expected = int(np.prod(shape)) * wire.itemsize
     if len(raw) != expected:
         raise SchemaError(f"{name}: expected {expected} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").astype(float).reshape(shape)
+    native = float if wire.kind == "f" else int
+    return np.frombuffer(raw, dtype=wire).astype(native).reshape(shape)
 
 
 def save_hand_model(params: HandModelParams, path) -> None:
     doc = {
         "schema": HAND_MODEL_SCHEMA,
         "handedness": params.handedness,
-        "template_vertices": _encode_f32(params.template_vertices),
-        "skinning_weights": _encode_f32(params.skinning_weights),
-        "joint_regressor": _encode_f32(params.joint_regressor),
+        "template_vertices": _encode_array(params.template_vertices),
+        "skinning_weights": _encode_array(params.skinning_weights),
+        "joint_regressor": _encode_array(params.joint_regressor),
         "parents": params.parents.tolist(),
     }
     if params.shape_dirs is not None:
-        doc["shape_dirs"] = _encode_f32(params.shape_dirs)
+        doc["shape_dirs"] = _encode_array(params.shape_dirs)
     if params.faces is not None:
         doc["face_count"] = int(params.faces.shape[0])
-        doc["faces"] = base64.b64encode(
-            np.ascontiguousarray(params.faces, dtype="<i4").tobytes()
-        ).decode("ascii")
+        doc["faces"] = _encode_array(params.faces, "<i4")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
 def load_hand_model(path) -> HandModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"hand model file is not valid JSON: {exc}") from exc
+    doc = load_json_file(path)
     if not isinstance(doc, dict) or doc.get("schema") != HAND_MODEL_SCHEMA:
         raise SchemaError(f"expected schema {HAND_MODEL_SCHEMA!r}")
     try:
         parents = np.asarray(doc["parents"], dtype=int)
         shape_dirs = None
         if "shape_dirs" in doc:
-            shape_dirs = _decode_f32(
+            shape_dirs = _decode_array(
                 doc["shape_dirs"], (NUM_VERTICES, 3, NUM_SHAPE_DIRS), "shape_dirs"
             )
         faces = None
         if "faces" in doc:
-            count = int(doc.get("face_count", -1))
-            raw = base64.b64decode(doc["faces"].encode("ascii"), validate=True)
-            if count < 0 or len(raw) != count * 12:
-                raise SchemaError("faces byte length disagrees with face_count")
-            faces = np.frombuffer(raw, dtype="<i4").astype(int).reshape(count, 3)
-        weights = _decode_f32(
+            count = int(doc["face_count"])
+            faces = _decode_array(doc["faces"], (count, 3), "faces", "<i4")
+        weights = _decode_array(
             doc["skinning_weights"], (NUM_VERTICES, NUM_JOINTS), "skinning_weights"
         )
         # Renormalize float32-rounded rows so identity skinning stays exact.
         weights = weights / weights.sum(axis=1, keepdims=True)
         return HandModelParams(
-            template_vertices=_decode_f32(
+            template_vertices=_decode_array(
                 doc["template_vertices"], (NUM_VERTICES, 3), "template_vertices"
             ),
             skinning_weights=weights,
-            joint_regressor=_decode_f32(
+            joint_regressor=_decode_array(
                 doc["joint_regressor"], (NUM_KEYPOINTS, NUM_VERTICES), "joint_regressor"
             ),
             parents=parents,

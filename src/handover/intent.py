@@ -33,8 +33,9 @@ from .errors import (
     TemplateMismatch,
     TransportError,
     UnknownObject,
+    load_json_file,
 )
-from .hand_model import classify_handedness
+from .hand_model import checked_keypoints, classify_handedness
 
 TIERS = ("clear", "foggy", "fuzzy")
 
@@ -118,11 +119,7 @@ class ToolCatalog:
 
 
 def load_catalog(path) -> ToolCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return ToolCatalog.from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"catalog file is not valid JSON: {exc}") from exc
+    return ToolCatalog.from_json_dict(load_json_file(path))
 
 
 def save_catalog(catalog: ToolCatalog, path) -> None:
@@ -161,11 +158,7 @@ class IntentQuery:
 
     def __post_init__(self):
         if self.keypoints is not None:
-            kp = np.array(self.keypoints, dtype=float)
-            if kp.shape != (21, 3):
-                raise SchemaError(f"keypoints must be (21, 3), got {kp.shape}")
-            kp.setflags(write=False)
-            object.__setattr__(self, "keypoints", kp)
+            object.__setattr__(self, "keypoints", checked_keypoints(self.keypoints, SchemaError))
 
 
 # --- template rendering / parsing -------------------------------------------------
@@ -257,13 +250,39 @@ class EndpointConfig:
     api_token: str | None = field(default=None, repr=False)
 
     @classmethod
-    def from_env(cls, **overrides) -> "EndpointConfig":
-        url = overrides.pop("base_url", None) or os.environ.get(ENDPOINT_URL_ENV)
+    def from_env(
+        cls,
+        settings=None,
+        *,
+        base_url=None,
+        model=None,
+        timeout_s=None,
+        retries=None,
+        api_token=None,
+    ) -> "EndpointConfig":
+        """Resolve each field as override > environment > settings > default.
+
+        ``settings`` is the settings file's ``endpoint`` mapping. A None
+        override and an empty string from any source count as not given.
+        """
+        settings = settings or {}
+
+        def pick(override, key, env=None, default=None):
+            for value in (override, env and os.environ.get(env), settings.get(key)):
+                if value is not None and value != "":
+                    return value
+            return default
+
+        url = pick(base_url, "base_url", ENDPOINT_URL_ENV)
         if not url:
-            raise HandoverError(f"no endpoint URL (flag or {ENDPOINT_URL_ENV})")
-        token = overrides.pop("api_token", None) or os.environ.get(ENDPOINT_TOKEN_ENV)
-        model = overrides.pop("model", None) or os.environ.get(ENDPOINT_MODEL_ENV) or "default"
-        return cls(base_url=url, model=model, api_token=token, **overrides)
+            raise HandoverError(f"no endpoint URL (flag, {ENDPOINT_URL_ENV} or settings file)")
+        return cls(
+            base_url=url,
+            model=pick(model, "model", ENDPOINT_MODEL_ENV, "default"),
+            timeout_s=float(pick(timeout_s, "timeout_s", default=30.0)),
+            retries=int(pick(retries, "retries", default=1)),
+            api_token=pick(api_token, "api_token", ENDPOINT_TOKEN_ENV),
+        )
 
 
 def llm_infer(config: EndpointConfig, prompt: str, image_bytes: bytes | None = None) -> str:
@@ -326,11 +345,7 @@ class CorpusItem:
         if self.tier not in TIERS:
             raise SchemaError(f"tier must be one of {TIERS}, got {self.tier!r}")
         if self.keypoints is not None:
-            kp = np.array(self.keypoints, dtype=float)
-            if kp.shape != (21, 3):
-                raise SchemaError(f"keypoints must be (21, 3), got {kp.shape}")
-            kp.setflags(write=False)
-            object.__setattr__(self, "keypoints", kp)
+            object.__setattr__(self, "keypoints", checked_keypoints(self.keypoints, SchemaError))
 
 
 @dataclass(frozen=True)
@@ -471,11 +486,7 @@ class EndpointResolver:
 # --- corpus files -----------------------------------------------------------------------
 
 def load_corpus(path) -> list[CorpusItem]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"corpus file is not valid JSON: {exc}") from exc
+    data = load_json_file(path)
     if not isinstance(data, list):
         raise SchemaError("corpus must be a JSON array")
     out = []
@@ -486,14 +497,10 @@ def load_corpus(path) -> list[CorpusItem]:
                     text=record["text"],
                     tier=record["tier"],
                     truth=TaskDescription.from_dict(record["truth"]),
-                    keypoints=(
-                        None
-                        if record.get("keypoints") is None
-                        else np.asarray(record["keypoints"], dtype=float)
-                    ),
+                    keypoints=record.get("keypoints"),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad corpus record: {exc}") from exc
     return out
 

@@ -12,7 +12,7 @@ pose expressed in the imagined hand frame.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     ModelMismatch,
     ProviderEmpty,
     SchemaError,
+    load_json_file,
 )
 from .geometry import (
     HandFrame,
@@ -53,6 +54,7 @@ from .hand_model import (
     HandPose,
     PosedHand,
     _frame_of_handed_joints,
+    checked_keypoints,
     classify_handedness,
     frame_from_joints,  # noqa: F401  bench/tracer.py wraps it at this attribute
     hand_frame_of,
@@ -84,11 +86,7 @@ class CannedPoseProvider:
 
     @classmethod
     def from_file(cls, path) -> "CannedPoseProvider":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                library = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"pose library is not valid JSON: {exc}") from exc
+        library = load_json_file(path)
         if not isinstance(library, dict):
             raise SchemaError("pose library must be a JSON object")
         return cls(library=library)
@@ -301,12 +299,7 @@ def save_configuration(config: HandoverConfiguration, path) -> None:
 
 
 def load_configuration(path) -> HandoverConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"configuration file is not valid JSON: {exc}") from exc
-    return HandoverConfiguration.from_json_dict(data)
+    return HandoverConfiguration.from_json_dict(load_json_file(path))
 
 
 @dataclass(frozen=True)
@@ -439,14 +432,13 @@ def imagine_configuration(
     if chosen is None:
         raise AllCandidatesCollide([f["min_distance_m"] for f in fallbacks])
 
-    frame = hand_frame_of(hand)
     config_out = HandoverConfiguration(
         task=task,
         cloud=cloud,
         hand_pose=hand_pose,
         hand=hand,
         grasp=candidates[chosen.selected_index],
-        hand_frame=frame,
+        hand_frame=hand_frame_of(hand),
         selection=chosen,
         validation=ValidationReport(checks={}),
     )
@@ -457,16 +449,7 @@ def imagine_configuration(
         min_clearance=config.selection.clearance_margin,
     )
     report = validate_configuration(config_out, config.gripper, limits)
-    return HandoverConfiguration(
-        task=config_out.task,
-        cloud=config_out.cloud,
-        hand_pose=config_out.hand_pose,
-        hand=config_out.hand,
-        grasp=config_out.grasp,
-        hand_frame=config_out.hand_frame,
-        selection=config_out.selection,
-        validation=report,
-    )
+    return replace(config_out, validation=report)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,9 +488,7 @@ def match_to_observation(
     The observed hand's handedness must agree with the task; the returned
     target preserves the imagined gripper-to-hand relative pose exactly.
     """
-    joints = np.asarray(observed_joints, dtype=float)
-    if joints.shape != (21, 3) or not np.all(np.isfinite(joints)):
-        raise DegenerateObservation(f"expected finite (21, 3) keypoints, got {joints.shape}")
+    joints = checked_keypoints(observed_joints, DegenerateObservation)
     try:
         observed_handedness = classify_handedness(joints)
     except AmbiguousHandedness as exc:

@@ -470,6 +470,18 @@ class TestCandidateFiles:
         with pytest.raises(InvalidCandidate):
             load_candidates(path)
 
+    @pytest.mark.parametrize(
+        "rotation", [np.diag([1.0, 1.0, -1.0]), 1.001 * np.eye(3)], ids=["reflection", "scaled"]
+    )
+    def test_improper_rotation_rejected_at_load(self, tmp_path, rotation):
+        matrix = np.eye(4)
+        matrix[:3, :3] = rotation
+        record = {"matrix": matrix.reshape(-1).tolist(), "width_m": 0.04, "source": "file"}
+        path = tmp_path / "grasps.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(InvalidCandidate, match="proper rotation"):
+            load_candidates(path)
+
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "grasps.json"
         path.write_text(json.dumps([{"matrix": [1, 2, 3]}]))

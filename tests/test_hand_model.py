@@ -291,6 +291,32 @@ class TestModelFile:
         hand = lbs_forward(loaded, HandPose.rest("right"))
         assert np.max(np.abs(hand.vertices - loaded.template_vertices)) <= 1e-12
 
+    def test_arrays_are_little_endian_base64(self, right_params, tmp_path):
+        import base64
+        import json
+
+        path = tmp_path / "hand.json"
+        save_hand_model(right_params, path)
+        doc = json.loads(path.read_text())
+        faces = np.frombuffer(base64.b64decode(doc["faces"]), dtype="<i4")
+        assert np.array_equal(faces.reshape(-1, 3), right_params.faces)
+        assert doc["face_count"] == right_params.faces.shape[0]
+        template = np.frombuffer(base64.b64decode(doc["template_vertices"]), dtype="<f4")
+        assert np.array_equal(
+            template.reshape(-1, 3), right_params.template_vertices.astype(np.float32)
+        )
+
+    def test_rejects_faces_disagreeing_with_face_count(self, right_params, tmp_path):
+        import json
+
+        path = tmp_path / "hand.json"
+        save_hand_model(right_params, path)
+        doc = json.loads(path.read_text())
+        doc["face_count"] += 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_hand_model(path)
+
     def test_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "hand-model/0"}')

@@ -55,6 +55,26 @@ def left_kp():
     return synthetic_rest_keypoints("left")
 
 
+class TestIntentQuery:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_keypoints_rejected(self, right_kp, bad):
+        kp = right_kp.copy()
+        kp[1, 0] = bad
+        with pytest.raises(SchemaError):
+            IntentQuery(text="knife", keypoints=kp)
+
+    def test_wrong_shape_rejected(self, right_kp):
+        with pytest.raises(SchemaError):
+            IntentQuery(text="knife", keypoints=right_kp[:20])
+
+    def test_keypoints_are_a_read_only_copy(self, right_kp):
+        kp = right_kp.copy()
+        query = IntentQuery(text="knife", keypoints=kp)
+        kp[0, 0] += 1.0
+        assert query.keypoints[0, 0] == right_kp[0, 0]
+        assert not query.keypoints.flags.writeable
+
+
 class TestBuildPrompt:
     def test_contains_names_once_and_instruction(self, catalog):
         prompt = build_prompt(IntentQuery(text="I need a knife"), catalog)
@@ -292,6 +312,18 @@ class TestEndpointClient:
         with pytest.raises(HandoverError):
             EndpointConfig.from_env()
 
+    def test_config_from_env_reads_settings(self, monkeypatch):
+        for name in ("URL", "TOKEN", "MODEL"):
+            monkeypatch.delenv(f"HANDOVER_ENDPOINT_{name}", raising=False)
+        settings = {"base_url": "http://s", "timeout_s": "5", "retries": "0", "api_token": "t"}
+        config = EndpointConfig.from_env(settings, model=None, timeout_s=None)
+        assert (config.base_url, config.model, config.api_token) == ("http://s", "default", "t")
+        assert config.timeout_s == 5.0 and isinstance(config.timeout_s, float)
+        assert config.retries == 0 and isinstance(config.retries, int)
+        assert EndpointConfig.from_env(settings, retries=2, timeout_s=1).retries == 2
+        monkeypatch.setenv("HANDOVER_ENDPOINT_TOKEN", "")
+        assert EndpointConfig.from_env(settings).api_token == "t"
+
 
 # --- evaluation harness ----------------------------------------------------------
 
@@ -406,6 +438,16 @@ class TestCatalogFiles:
     def test_rejects_bad_corpus_record(self, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps([{"text": "x"}]))
+        with pytest.raises(SchemaError):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_corpus_keypoints(self, tmp_path, right_kp, bad):
+        kp = right_kp.tolist()
+        kp[1][2] = bad
+        record = {"text": "knife", "tier": "clear", "truth": {"object": "knife", "hand": "right"}}
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([dict(record, keypoints=kp)]))
         with pytest.raises(SchemaError):
             load_corpus(path)
 

@@ -444,26 +444,26 @@ class TestCli:
 
     def test_endpoint_settings_precedence(self, workdir, monkeypatch):
         """Flags beat environment beats settings file."""
-        import argparse
+        from handover.intent import EndpointConfig
 
-        from handover.cli import _endpoint_config
-
-        settings = {"endpoint": {"base_url": "http://from-settings", "model": "m-settings"}}
-        ns = argparse.Namespace(endpoint=None, model=None, timeout=None)
-        assert _endpoint_config(ns, settings).base_url == "http://from-settings"
+        monkeypatch.delenv("HANDOVER_ENDPOINT_URL", raising=False)
+        monkeypatch.delenv("HANDOVER_ENDPOINT_MODEL", raising=False)
+        settings = {"base_url": "http://from-settings", "model": "m-settings"}
+        flags = {"base_url": None, "model": None, "timeout_s": None}
+        assert EndpointConfig.from_env(settings, **flags).base_url == "http://from-settings"
 
         monkeypatch.setenv("HANDOVER_ENDPOINT_URL", "http://from-env")
-        assert _endpoint_config(ns, settings).base_url == "http://from-env"
+        assert EndpointConfig.from_env(settings, **flags).base_url == "http://from-env"
 
-        ns.endpoint = "http://from-flag"
-        config = _endpoint_config(ns, settings)
+        flags["base_url"] = "http://from-flag"
+        config = EndpointConfig.from_env(settings, **flags)
         assert config.base_url == "http://from-flag"
         assert config.model == "m-settings"
 
         monkeypatch.setenv("HANDOVER_ENDPOINT_MODEL", "m-env")
-        assert _endpoint_config(ns, settings).model == "m-env"
-        ns.model = "m-flag"
-        assert _endpoint_config(ns, settings).model == "m-flag"
+        assert EndpointConfig.from_env(settings, **flags).model == "m-env"
+        flags["model"] = "m-flag"
+        assert EndpointConfig.from_env(settings, **flags).model == "m-flag"
 
     def test_timing_goes_to_stderr_not_stdout(self, workdir, capsys):
         out = workdir / "timed.json"
@@ -483,3 +483,85 @@ class TestCli:
         assert rc == 0
         assert "imagine_time_s" in captured.err
         assert "imagine_time_s" not in captured.out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_infer_non_finite_keypoints_exit_2(self, workdir, capsys, value):
+        kp = synthetic.synthetic_rest_keypoints("right").tolist()
+        kp[4][1] = value
+        self._assert_infer_rejects_keypoints(workdir, capsys, json.dumps(kp))
+
+    @pytest.mark.parametrize("content", ['"abc"', "[[1, 2], [3]]", '{"x": 1}'])
+    def test_infer_non_array_keypoints_exit_2(self, workdir, capsys, content):
+        self._assert_infer_rejects_keypoints(workdir, capsys, content)
+
+    @staticmethod
+    def _assert_infer_rejects_keypoints(workdir, capsys, content):
+        path = workdir / "kp_bad.json"
+        path.write_text(content)
+        argv = ["infer", "--text", "I need a knife", "--keypoints", str(path)]
+        rc = main(argv + ["--catalog", str(workdir / "catalog.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "SchemaError" in captured.err
+        assert captured.out == ""
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
+    """One valid file for every CLI flag that reads JSON."""
+    from handover.grasp import save_candidates
+    from handover.hand_model import save_hand_model
+
+    root = tmp_path_factory.mktemp("json_inputs")
+    cloud = synthetic.cylinder_cloud()
+    io_formats.save_ply(cloud, root / "cloud.ply")
+    save_catalog(catalog, root / "catalog.json")
+    save_corpus(synthetic.sample_corpus(catalog), root / "corpus.json")
+    (root / "task.json").write_text(json.dumps({"object": "cylinder", "hand": "right"}))
+    (root / "kp.json").write_text(json.dumps(cylinder_config.hand.joints.tolist()))
+    (root / "poses.json").write_text(json.dumps(synthetic.default_pose_library({"cylinder": cloud})))
+    save_candidates([cylinder_config.grasp], root / "grasps.json")
+    save_hand_model(right_params, root / "hand.json")
+    pipeline.save_configuration(cylinder_config, root / "config.json")
+    return root
+
+
+# Each command reads the flag's file after every other input has loaded; "@"
+# marks the unreadable file and "@out" the output path.
+_JSON_FLAG_COMMANDS = {
+    "--settings": ["--settings", "@", "infer", "--text", "knife", "--keypoints", "kp.json",
+                   "--catalog", "catalog.json"],
+    "--task": ["imagine", "--task", "@", "--cloud", "cloud.ply", "--sample-antipodal",
+               "--out", "@out"],
+    "--poses": ["imagine", "--task", "task.json", "--cloud", "cloud.ply", "--poses", "@",
+                "--sample-antipodal", "--out", "@out"],
+    "--grasps": ["imagine", "--task", "task.json", "--cloud", "cloud.ply", "--grasps", "@",
+                 "--out", "@out"],
+    "--hand-model": ["imagine", "--task", "task.json", "--cloud", "cloud.ply",
+                     "--grasps", "grasps.json", "--hand-model", "@", "--out", "@out"],
+    "--config": ["match", "--config", "@", "--observed-keypoints", "kp.json", "--out", "@out"],
+    "--observed-keypoints": ["match", "--config", "config.json", "--observed-keypoints", "@",
+                             "--out", "@out"],
+    "--keypoints": ["infer", "--text", "knife", "--keypoints", "@", "--catalog", "catalog.json"],
+    "--catalog": ["infer", "--text", "knife", "--keypoints", "kp.json", "--catalog", "@"],
+    "--corpus": ["evaluate", "--corpus", "@", "--catalog", "catalog.json", "--report", "@out"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_JSON_FLAG_COMMANDS))
+def test_non_utf8_json_input_exits_2(json_inputs, tmp_path, capsys, flag):
+    bad = tmp_path / "not_utf8.json"
+    bad.write_bytes(b"\xff\xfe[1, 2, 3]")
+    paths = {"@": bad, "@out": tmp_path / "out.json"}
+    argv = []
+    for word in _JSON_FLAG_COMMANDS[flag]:
+        if word in paths:
+            word = str(paths[word])
+        elif (json_inputs / word).exists():
+            word = str(json_inputs / word)
+        argv.append(word)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "SchemaError" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
