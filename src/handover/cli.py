@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import io_formats, pipeline, synthetic
-from .errors import HandoverError, InputFormatError, SchemaError, load_json_file
+from .errors import HandoverError, InputFormatError, SchemaError, load_json_file, pick_setting
 from .grasp import MAX_JAW_WIDTH_M, SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
@@ -50,16 +50,19 @@ def _settings(args) -> dict:
 
 
 def _selection_config(args, settings: dict) -> SelectionConfig:
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return settings.get(key, default)
+    default = SelectionConfig()
 
-    return SelectionConfig(
-        distance_weight=float(pick(args.distance_weight, "distance_weight", 1.0)),
-        cosine_mode=str(pick(args.cosine_mode, "cosine_mode", "signed")),
-        clearance_margin=float(pick(args.clearance, "clearance_margin", 0.005)),
-    )
+    def pick(flag_value, key):
+        return pick_setting(flag_value, settings, key, default=getattr(default, key))
+
+    try:
+        return SelectionConfig(
+            distance_weight=float(pick(args.distance_weight, "distance_weight")),
+            cosine_mode=str(pick(args.cosine_mode, "cosine_mode")),
+            clearance_margin=float(pick(args.clearance, "clearance_margin")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad scoring setting: {exc}") from exc
 
 
 def _hand_models(args):

@@ -45,28 +45,6 @@ class ObjectCloud:
             return self
         return ObjectCloud(self.name, self.points, estimate_normals(self.points))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "points": self.points.tolist(),
-            "normals": None if self.normals is None else self.normals.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObjectCloud":
-        try:
-            return cls(
-                name=data["name"],
-                points=np.asarray(data["points"], dtype=float),
-                normals=(
-                    None
-                    if data.get("normals") is None
-                    else np.asarray(data["normals"], dtype=float)
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad cloud record: {exc}") from exc
-
 
 def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
     """Per-point normals from local PCA, oriented outward from the centroid.

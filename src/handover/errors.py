@@ -3,11 +3,12 @@
 Two broad families matter to callers: ``InputFormatError`` covers malformed
 files and schema violations (CLI exit code 2), everything else derived from
 ``HandoverError`` is a semantic/validation failure (CLI exit code 1).
-The JSON-file loader lives here too, so that every module that reads a file
-maps unreadable JSON to ``SchemaError`` the same way.
+The JSON-file loader and the settings-precedence rule live here too, so that
+every module that reads a file or a setting treats it the same way.
 """
 
 import json
+import os
 
 
 class HandoverError(Exception):
@@ -149,3 +150,15 @@ def load_json_file(path):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+
+
+def pick_setting(override, settings: dict, key: str, env: str | None = None, default=None):
+    """First given of override > environment variable ``env`` > settings[key] > default.
+
+    None and the empty string count as not given. Callers convert the value
+    and map a bad one to ``SchemaError``.
+    """
+    for value in (override, env and os.environ.get(env), settings.get(key)):
+        if value is not None and value != "":
+            return value
+    return default

@@ -89,8 +89,8 @@ class SelectionConfig:
             raise ValueError("distance_weight must be finite and >= 0")
         if self.cosine_mode not in COSINE_MODES:
             raise ValueError(f"cosine_mode must be one of {COSINE_MODES}")
-        if self.clearance_margin <= 0:
-            raise ValueError("clearance_margin must be positive")
+        if not np.isfinite(self.clearance_margin) or self.clearance_margin <= 0:
+            raise ValueError("clearance_margin must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,16 +267,15 @@ def antipodal_candidates(
     if order.size > count:
         order = order[np.sort(rng.choice(order.size, size=count, replace=False))]
 
-    out = []
-    for i in order:
-        cand = GraspCandidate(
+    # imagine_configuration validates every candidate, from any provider.
+    return [
+        GraspCandidate(
             transform=RigidTransform(rotation[i], midpoint[i]),
             width=float(sep[i]),
             source="antipodal-sampler",
         )
-        cand.validate()
-        out.append(cand)
-    return out
+        for i in order
+    ]
 
 
 # --- candidate files --------------------------------------------------------------

@@ -395,40 +395,47 @@ def _frame_of_handed_joints(joints: np.ndarray, handedness: str) -> HandFrame:
 HAND_MODEL_SCHEMA = "hand-model/1"
 
 
-def _encode_array(arr: np.ndarray, dtype: str = "<f4") -> str:
+def encode_array(arr, dtype: str = "<f4") -> str:
+    """Base64 of the array's C-order bytes in the wire ``dtype``."""
     return base64.b64encode(
         np.ascontiguousarray(arr, dtype=dtype).tobytes()
     ).decode("ascii")
 
 
-def _decode_array(data: str, shape: tuple, name: str, dtype: str = "<f4") -> np.ndarray:
-    """Inverse of _encode_array, widened to float64 or the default int."""
+def decode_array(data, shape: tuple, name: str, dtype: str = "<f4") -> np.ndarray:
+    """Inverse of encode_array, as native float64 or int, else SchemaError.
+
+    A leading None in ``shape`` accepts any row count. When the wire dtype is
+    already native the result is a read-only view of the decoded bytes.
+    """
     try:
         raw = base64.b64decode(data.encode("ascii"), validate=True)
-    except Exception as exc:
+    except (AttributeError, ValueError) as exc:
         raise SchemaError(f"{name}: invalid base64") from exc
     wire = np.dtype(dtype)
-    expected = int(np.prod(shape)) * wire.itemsize
-    if len(raw) != expected:
-        raise SchemaError(f"{name}: expected {expected} bytes, got {len(raw)}")
+    row_bytes = int(np.prod(shape[1:])) * wire.itemsize
+    rows = len(raw) // row_bytes if shape[0] is None else shape[0]
+    if len(raw) != rows * row_bytes:
+        raise SchemaError(f"{name}: expected {rows * row_bytes} bytes, got {len(raw)}")
     native = float if wire.kind == "f" else int
-    return np.frombuffer(raw, dtype=wire).astype(native).reshape(shape)
+    values = np.frombuffer(raw, dtype=wire).astype(native, copy=False)
+    return values.reshape((rows, *shape[1:]))
 
 
 def save_hand_model(params: HandModelParams, path) -> None:
     doc = {
         "schema": HAND_MODEL_SCHEMA,
         "handedness": params.handedness,
-        "template_vertices": _encode_array(params.template_vertices),
-        "skinning_weights": _encode_array(params.skinning_weights),
-        "joint_regressor": _encode_array(params.joint_regressor),
+        "template_vertices": encode_array(params.template_vertices),
+        "skinning_weights": encode_array(params.skinning_weights),
+        "joint_regressor": encode_array(params.joint_regressor),
         "parents": params.parents.tolist(),
     }
     if params.shape_dirs is not None:
-        doc["shape_dirs"] = _encode_array(params.shape_dirs)
+        doc["shape_dirs"] = encode_array(params.shape_dirs)
     if params.faces is not None:
         doc["face_count"] = int(params.faces.shape[0])
-        doc["faces"] = _encode_array(params.faces, "<i4")
+        doc["faces"] = encode_array(params.faces, "<i4")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
@@ -441,24 +448,24 @@ def load_hand_model(path) -> HandModelParams:
         parents = np.asarray(doc["parents"], dtype=int)
         shape_dirs = None
         if "shape_dirs" in doc:
-            shape_dirs = _decode_array(
+            shape_dirs = decode_array(
                 doc["shape_dirs"], (NUM_VERTICES, 3, NUM_SHAPE_DIRS), "shape_dirs"
             )
         faces = None
         if "faces" in doc:
             count = int(doc["face_count"])
-            faces = _decode_array(doc["faces"], (count, 3), "faces", "<i4")
-        weights = _decode_array(
+            faces = decode_array(doc["faces"], (count, 3), "faces", "<i4")
+        weights = decode_array(
             doc["skinning_weights"], (NUM_VERTICES, NUM_JOINTS), "skinning_weights"
         )
         # Renormalize float32-rounded rows so identity skinning stays exact.
         weights = weights / weights.sum(axis=1, keepdims=True)
         return HandModelParams(
-            template_vertices=_decode_array(
+            template_vertices=decode_array(
                 doc["template_vertices"], (NUM_VERTICES, 3), "template_vertices"
             ),
             skinning_weights=weights,
-            joint_regressor=_decode_array(
+            joint_regressor=decode_array(
                 doc["joint_regressor"], (NUM_KEYPOINTS, NUM_VERTICES), "joint_regressor"
             ),
             parents=parents,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import re
 import socket
 import urllib.error
@@ -34,6 +33,7 @@ from .errors import (
     TransportError,
     UnknownObject,
     load_json_file,
+    pick_setting,
 )
 from .hand_model import checked_keypoints, classify_handedness
 
@@ -260,29 +260,28 @@ class EndpointConfig:
         retries=None,
         api_token=None,
     ) -> "EndpointConfig":
-        """Resolve each field as override > environment > settings > default.
+        """Resolve each field with ``pick_setting``: override > environment >
+        settings > default.
 
-        ``settings`` is the settings file's ``endpoint`` mapping. A None
-        override and an empty string from any source count as not given.
+        ``settings`` is the settings file's ``endpoint`` mapping, or None.
         """
-        settings = settings or {}
-
-        def pick(override, key, env=None, default=None):
-            for value in (override, env and os.environ.get(env), settings.get(key)):
-                if value is not None and value != "":
-                    return value
-            return default
-
-        url = pick(base_url, "base_url", ENDPOINT_URL_ENV)
+        if settings is None:
+            settings = {}
+        if not isinstance(settings, dict):
+            raise SchemaError("endpoint settings must be a JSON object")
+        url = pick_setting(base_url, settings, "base_url", ENDPOINT_URL_ENV)
         if not url:
             raise HandoverError(f"no endpoint URL (flag, {ENDPOINT_URL_ENV} or settings file)")
-        return cls(
-            base_url=url,
-            model=pick(model, "model", ENDPOINT_MODEL_ENV, "default"),
-            timeout_s=float(pick(timeout_s, "timeout_s", default=30.0)),
-            retries=int(pick(retries, "retries", default=1)),
-            api_token=pick(api_token, "api_token", ENDPOINT_TOKEN_ENV),
-        )
+        try:
+            return cls(
+                base_url=url,
+                model=pick_setting(model, settings, "model", ENDPOINT_MODEL_ENV, "default"),
+                timeout_s=float(pick_setting(timeout_s, settings, "timeout_s", default=30.0)),
+                retries=int(pick_setting(retries, settings, "retries", default=1)),
+                api_token=pick_setting(api_token, settings, "api_token", ENDPOINT_TOKEN_ENV),
+            )
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad endpoint setting: {exc}") from exc
 
 
 def llm_infer(config: EndpointConfig, prompt: str, image_bytes: bytes | None = None) -> str:

@@ -50,20 +50,28 @@ from .grasp import (
     rank_candidates,
 )
 from .hand_model import (
+    NUM_KEYPOINTS,
+    NUM_VERTICES,
     HandModelParams,
     HandPose,
     PosedHand,
     _frame_of_handed_joints,
     checked_keypoints,
     classify_handedness,
+    decode_array,
+    encode_array,
     frame_from_joints,  # noqa: F401  bench/tracer.py wraps it at this attribute
     hand_frame_of,
     lbs_forward,
 )
 from .intent import TaskDescription
 
-CONFIG_SCHEMA = "handover-config/1"
+CONFIG_SCHEMA = "handover-config/2"
+# /1 held the cloud, vertex and joint arrays as JSON number lists.
+_READABLE_CONFIG_SCHEMAS = ("handover-config/1", CONFIG_SCHEMA)
 TARGET_SCHEMA = "end-effector-target/1"
+# Little-endian float64 keeps the record's large arrays bit-exact.
+_RECORD_DTYPE = "<f8"
 
 
 # --- providers -----------------------------------------------------------------
@@ -239,14 +247,19 @@ class HandoverConfiguration:
     validation: ValidationReport
 
     def to_json_dict(self) -> dict:
+        normals = self.cloud.normals
         return {
             "schema": CONFIG_SCHEMA,
             "task": self.task.to_dict(),
-            "cloud": self.cloud.to_dict(),
+            "cloud": {
+                "name": self.cloud.name,
+                "points": encode_array(self.cloud.points, _RECORD_DTYPE),
+                "normals": None if normals is None else encode_array(normals, _RECORD_DTYPE),
+            },
             "hand_pose": self.hand_pose.to_dict(),
             "hand": {
-                "vertices": self.hand.vertices.tolist(),
-                "joints": self.hand.joints.tolist(),
+                "vertices": encode_array(self.hand.vertices, _RECORD_DTYPE),
+                "joints": encode_array(self.hand.joints, _RECORD_DTYPE),
                 "handedness": self.hand.handedness,
             },
             "grasp": self.grasp.to_dict(),
@@ -261,23 +274,34 @@ class HandoverConfiguration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandoverConfiguration":
-        if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
-            raise SchemaError(f"expected schema {CONFIG_SCHEMA!r}")
+        if not isinstance(data, dict) or data.get("schema") not in _READABLE_CONFIG_SCHEMAS:
+            raise SchemaError(f"expected one of the schemas {_READABLE_CONFIG_SCHEMAS}")
         try:
-            frame_rec = data["hand_frame"]
+            frame_rec, cloud_rec, hand_rec = data["hand_frame"], data["cloud"], data["hand"]
             frame = build_frame(
                 np.asarray(frame_rec["center"], dtype=float),
                 np.asarray(frame_rec["direction"], dtype=float),
                 np.asarray(frame_rec["normal"], dtype=float),
             )
+            normals = cloud_rec.get("normals")
             return cls(
                 task=TaskDescription.from_dict(data["task"]),
-                cloud=ObjectCloud.from_dict(data["cloud"]),
+                cloud=ObjectCloud(
+                    name=cloud_rec["name"],
+                    points=_record_array(cloud_rec["points"], (None, 3), "cloud.points"),
+                    normals=(
+                        None
+                        if normals is None
+                        else _record_array(normals, (None, 3), "cloud.normals")
+                    ),
+                ),
                 hand_pose=HandPose.from_dict(data["hand_pose"]),
                 hand=PosedHand(
-                    vertices=np.asarray(data["hand"]["vertices"], dtype=float),
-                    joints=np.asarray(data["hand"]["joints"], dtype=float),
-                    handedness=data["hand"]["handedness"],
+                    vertices=_record_array(
+                        hand_rec["vertices"], (NUM_VERTICES, 3), "hand.vertices"
+                    ),
+                    joints=_record_array(hand_rec["joints"], (NUM_KEYPOINTS, 3), "hand.joints"),
+                    handedness=hand_rec["handedness"],
                 ),
                 grasp=GraspCandidate.from_dict(data["grasp"]),
                 hand_frame=frame,
@@ -286,11 +310,18 @@ class HandoverConfiguration:
             )
         except SchemaError:
             raise
-        except (KeyError, TypeError, ValueError, ModelMismatch) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ModelMismatch) as exc:
             raise SchemaError(f"bad configuration record: {exc}") from exc
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _record_array(value, shape: tuple, name: str) -> np.ndarray:
+    """One large array of a record: base64 float64 (/2) or a number list (/1)."""
+    if isinstance(value, str):
+        return decode_array(value, shape, name, _RECORD_DTYPE)
+    return np.asarray(value, dtype=float)
 
 
 def save_configuration(config: HandoverConfiguration, path) -> None:

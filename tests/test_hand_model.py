@@ -20,7 +20,9 @@ from handover.hand_model import (
     HandPose,
     PosedHand,
     classify_handedness,
+    decode_array,
     direction_from_joints,
+    encode_array,
     frame_from_joints,
     geometric_center,
     hand_direction,
@@ -339,6 +341,39 @@ class TestModelFile:
         path.write_text("not json at all")
         with pytest.raises(SchemaError):
             load_hand_model(path)
+
+
+class TestArrayCodec:
+    def test_float64_round_trip_is_bitwise(self, rng):
+        values = rng.normal(size=(40, 3))
+        values[0] = (-0.0, 5e-324, np.finfo(float).max)
+        values[1] = (np.finfo(float).tiny, -np.finfo(float).eps, 1.0 / 3.0)
+        back = decode_array(encode_array(values, "<f8"), (None, 3), "values", "<f8")
+        assert back.dtype == np.float64 and back.shape == (40, 3)
+        assert back.tobytes() == values.tobytes()
+        assert encode_array(back, "<f8") == encode_array(values, "<f8")
+
+    def test_wire_bytes_are_little_endian(self):
+        import base64
+
+        encoded = encode_array(np.array([[1.0, 2.0, -0.5]]), "<f8")
+        assert base64.b64decode(encoded) == np.array([1.0, 2.0, -0.5], dtype="<f8").tobytes()
+
+    @pytest.mark.parametrize(
+        "data, shape",
+        [
+            ("AAAA", (None, 3)),  # 3 bytes, not a whole float64 row
+            (encode_array(np.zeros((2, 3)), "<f8"), (3, 3)),  # wrong row count
+            ("AAAAAAAAAAA", (None, 3)),  # truncated base64
+            ("AAAA*AAA", (None, 3)),  # not base64
+            ("\u00e9", (None, 3)),  # not ASCII
+            ([0.0, 1.0, 2.0], (None, 3)),  # not a string
+        ],
+        ids=["ragged", "row-count", "truncated", "alphabet", "non-ascii", "list"],
+    )
+    def test_bad_input_raises_schema_error(self, data, shape):
+        with pytest.raises(SchemaError, match="^values: "):
+            decode_array(data, shape, "values", "<f8")
 
 
 class TestHandPoseRecord:

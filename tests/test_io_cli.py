@@ -442,6 +442,44 @@ class TestCli:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "settings, extra",
+        [
+            ({"cosine_mode": "bogus"}, []),
+            ({"distance_weight": "abc"}, []),
+            ({"clearance_margin": "nan"}, []),
+            ({}, ["--clearance", "-1"]),
+        ],
+        ids=["cosine_mode", "distance_weight", "clearance_nan", "clearance_flag"],
+    )
+    def test_bad_scoring_value_exits_2(self, workdir, capsys, settings, extra):
+        path = workdir / "settings.json"
+        path.write_text(json.dumps(settings))
+        out = workdir / "bad_config.json"
+        argv = ["--settings", str(path), "imagine", "--task", str(workdir / "task.json"),
+                "--cloud", str(workdir / "cylinder.ply"), "--sample-antipodal"]
+        rc = main(argv + extra + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "SchemaError" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["x", {"timeout_s": "abc"}, {"retries": [1]}],
+        ids=["string", "timeout", "retries"],
+    )
+    def test_bad_endpoint_setting_exits_2(self, workdir, capsys, endpoint):
+        """Rejected while resolving settings, before any request is made."""
+        path = workdir / "settings.json"
+        path.write_text(json.dumps({"endpoint": endpoint}))
+        rc = main(["--settings", str(path), "infer", "--text", "I need a knife",
+                   "--endpoint", "http://127.0.0.1:9/v1",
+                   "--catalog", str(workdir / "catalog.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "SchemaError" in err and "Traceback" not in err
+
     def test_endpoint_settings_precedence(self, workdir, monkeypatch):
         """Flags beat environment beats settings file."""
         from handover.intent import EndpointConfig

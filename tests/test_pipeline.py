@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from handover.errors import (
     AllCandidatesCollide,
     DegenerateObservation,
     HandednessMismatch,
+    InvalidCandidate,
     ModelMismatch,
     ProviderEmpty,
     SchemaError,
@@ -200,6 +202,19 @@ class TestImagine:
                 config,
             )
 
+    @pytest.mark.parametrize("width", [0.08, float("nan")], ids=["overwide", "nan"])
+    def test_invalid_candidate_from_provider_rejected(self, cylinder_cloud, pipe_config, width):
+        """imagine_configuration is the one candidate check for every provider."""
+        bad = _approach_candidate((0, 0, 1), (0, 0, 0.1), width=width)
+        with pytest.raises(InvalidCandidate):
+            imagine_configuration(
+                TaskDescription("cylinder", "right"),
+                cylinder_cloud,
+                ProceduralPoseProvider(),
+                lambda task, cloud: [bad],
+                pipe_config,
+            )
+
     def test_deterministic_serialization(self, cylinder_cloud, pipe_config):
         def run():
             return imagine_configuration(
@@ -354,37 +369,149 @@ class TestValidateConfiguration:
         assert not report.checks["clearance"].passed
 
 
+def _v1_json_dict(config):
+    """The handover-config/1 writer, kept as the reference for reading /1."""
+    cloud = config.cloud
+    return {
+        "schema": "handover-config/1",
+        "task": config.task.to_dict(),
+        "cloud": {
+            "name": cloud.name,
+            "points": cloud.points.tolist(),
+            "normals": None if cloud.normals is None else cloud.normals.tolist(),
+        },
+        "hand_pose": config.hand_pose.to_dict(),
+        "hand": {
+            "vertices": config.hand.vertices.tolist(),
+            "joints": config.hand.joints.tolist(),
+            "handedness": config.hand.handedness,
+        },
+        "grasp": config.grasp.to_dict(),
+        "hand_frame": {
+            "center": config.hand_frame.center.tolist(),
+            "direction": config.hand_frame.direction.tolist(),
+            "normal": config.hand_frame.normal.tolist(),
+        },
+        "selection": config.selection.to_dict(),
+        "validation": config.validation.to_dict(),
+    }
+
+
+def _record_arrays(config):
+    return {
+        "cloud.points": config.cloud.points,
+        "cloud.normals": config.cloud.normals,
+        "hand.vertices": config.hand.vertices,
+        "hand.joints": config.hand.joints,
+        "hand_pose.pose": config.hand_pose.pose,
+        "grasp.matrix": config.grasp.transform.as_matrix(),
+        "hand_frame.center": config.hand_frame.center,
+    }
+
+
+SCHEMAS = ("handover-config/1", "handover-config/2")
+
+
+def _write_record(config, path, schema):
+    if schema == "handover-config/1":
+        path.write_text(json.dumps(_v1_json_dict(config), sort_keys=True))
+    else:
+        save_configuration(config, path)
+
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _truncated_points(doc):
+    doc["cloud"]["points"] = doc["cloud"]["points"][:-3]
+
+
+def _short_vertices(doc):
+    vertices = base64.b64decode(doc["hand"]["vertices"])
+    doc["hand"]["vertices"] = base64.b64encode(vertices[:-24]).decode("ascii")
+
+
+def _ragged_normals(doc):
+    normals = base64.b64decode(doc["cloud"]["normals"])
+    doc["cloud"]["normals"] = base64.b64encode(normals + bytes(8)).decode("ascii")
+
+
+def _old_schema(doc):
+    doc["schema"] = "handover-config/0"
+
+
+def _assert_rejected(config, tmp_path, capsys, corrupt):
+    """load_configuration raises SchemaError and `handover match` exits 2."""
+    from handover.cli import main
+
+    doc = config.to_json_dict()
+    corrupt(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_configuration(path)
+    observed = tmp_path / "obs.json"
+    observed.write_text(json.dumps(config.hand.joints.tolist()))
+    out = tmp_path / "target.json"
+    argv = ["match", "--config", str(path), "--observed-keypoints", str(observed)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "SchemaError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSerialization:
     def test_file_round_trip(self, cylinder_config, tmp_path):
-        path = tmp_path / "config.json"
-        save_configuration(cylinder_config, path)
-        loaded = load_configuration(path)
-        assert loaded.task == cylinder_config.task
-        assert np.allclose(loaded.hand.vertices, cylinder_config.hand.vertices)
-        assert np.allclose(
-            loaded.grasp.transform.as_matrix(),
-            cylinder_config.grasp.transform.as_matrix(),
-        )
-        assert loaded.validation.passed
-        # serialization is stable across a round trip
-        assert loaded.to_json_text() == cylinder_config.to_json_text()
+        for schema in SCHEMAS:
+            path = tmp_path / "config.json"
+            _write_record(cylinder_config, path, schema)
+            loaded = load_configuration(path)
+            assert loaded.task == cylinder_config.task
+            before, after = _record_arrays(cylinder_config), _record_arrays(loaded)
+            for name in before:
+                _assert_bitwise(before[name], after[name])
+            assert loaded.validation.passed
+            # either schema reloads to the same /2 text
+            assert loaded.to_json_text() == cylinder_config.to_json_text()
 
-    def test_match_after_reload_is_identical(self, cylinder_config, tmp_path, rng):
-        path = tmp_path / "config.json"
-        save_configuration(cylinder_config, path)
-        loaded = load_configuration(path)
+    def test_record_differs_from_v1_only_in_schema_and_arrays(self, cylinder_config):
+        new, old = cylinder_config.to_json_dict(), _v1_json_dict(cylinder_config)
+        assert new["schema"] == "handover-config/2"
+        arrays = {("cloud", "points"), ("cloud", "normals"), ("hand", "vertices"),
+                  ("hand", "joints")}
+        assert set(new) == set(old)
+        for key in set(new) - {"schema", "cloud", "hand"}:
+            assert new[key] == old[key]
+        for key in ("cloud", "hand"):
+            assert set(new[key]) == set(old[key])
+            for field_name in new[key]:
+                if (key, field_name) not in arrays:
+                    assert new[key][field_name] == old[key][field_name]
+        for key, field_name in arrays:
+            raw = base64.b64decode(new[key][field_name], validate=True)
+            decoded = np.frombuffer(raw, dtype="<f8").reshape(-1, 3)
+            _assert_bitwise(decoded, np.array(old[key][field_name], dtype=float))
+
+    def test_match_after_reload_is_identical(self, cylinder_config, tmp_path):
         motion = RigidTransform(rot_z(0.4), np.array([0.1, 0.2, 0.3]))
         observed = motion.apply(cylinder_config.hand.joints)
         a = match_to_observation(cylinder_config, observed)
-        b = match_to_observation(loaded, observed)
-        assert np.allclose(a.position, b.position, atol=1e-12)
-        assert np.allclose(a.quaternion, b.quaternion, atol=1e-12)
+        for schema in SCHEMAS:
+            path = tmp_path / "config.json"
+            _write_record(cylinder_config, path, schema)
+            b = match_to_observation(load_configuration(path), observed)
+            assert np.array_equal(a.position, b.position)
+            assert np.array_equal(a.quaternion, b.quaternion)
+            assert np.array_equal(a.transform.as_matrix(), b.transform.as_matrix())
 
-    def test_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"schema": "handover-config/0"}))
-        with pytest.raises(SchemaError):
-            load_configuration(path)
+    def test_rejects_wrong_schema(self, cylinder_config, tmp_path, capsys):
+        _assert_rejected(cylinder_config, tmp_path, capsys, _old_schema)
+
+    @pytest.mark.parametrize("corrupt", [_truncated_points, _short_vertices, _ragged_normals])
+    def test_rejects_corrupt_arrays(self, cylinder_config, tmp_path, capsys, corrupt):
+        _assert_rejected(cylinder_config, tmp_path, capsys, corrupt)
 
     def test_quaternion_provenance_fields(self, cylinder_config):
         observed = cylinder_config.hand.joints + (
