@@ -16,7 +16,14 @@ import sys
 import time
 
 from . import io_formats, pipeline, synthetic
-from .errors import HandoverError, InputFormatError, SchemaError, load_json_file, pick_setting
+from .errors import (
+    HandoverError,
+    InputFormatError,
+    SchemaError,
+    load_json_file,
+    pick_setting,
+    reading,
+)
 from .grasp import MAX_JAW_WIDTH_M, SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
@@ -55,14 +62,12 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
     def pick(flag_value, key):
         return pick_setting(flag_value, settings, key, default=getattr(default, key))
 
-    try:
+    with reading("scoring setting"):
         return SelectionConfig(
             distance_weight=float(pick(args.distance_weight, "distance_weight")),
             cosine_mode=str(pick(args.cosine_mode, "cosine_mode")),
             clearance_margin=float(pick(args.clearance, "clearance_margin")),
         )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad scoring setting: {exc}") from exc
 
 
 def _hand_models(args):

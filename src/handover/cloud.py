@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import row_dot
+from .geometry import frozen_array, row_dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,21 +19,14 @@ class ObjectCloud:
     normals: np.ndarray | None = None  # (N, 3) unit vectors
 
     def __post_init__(self):
-        p = np.array(self.points, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
-            raise SchemaError(f"points must be (N>=1, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise SchemaError("cloud contains non-finite points")
-        p.setflags(write=False)
+        p = frozen_array(self.points, (None, 3), SchemaError, "points")
+        if p.shape[0] < 1:
+            raise SchemaError("points must hold at least one row")
         object.__setattr__(self, "points", p)
         if self.normals is not None:
-            n = np.array(self.normals, dtype=float)
-            if n.shape != p.shape:
-                raise SchemaError(f"normals must match points shape, got {n.shape}")
-            norms = np.linalg.norm(n, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-6:
+            n = frozen_array(self.normals, p.shape, SchemaError, "normals")
+            if np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) > 1e-6:
                 raise SchemaError("normals must be unit length within 1e-6")
-            n.setflags(write=False)
             object.__setattr__(self, "normals", n)
 
     @property

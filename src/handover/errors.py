@@ -3,12 +3,14 @@
 Two broad families matter to callers: ``InputFormatError`` covers malformed
 files and schema violations (CLI exit code 2), everything else derived from
 ``HandoverError`` is a semantic/validation failure (CLI exit code 1).
-The JSON-file loader and the settings-precedence rule live here too, so that
-every module that reads a file or a setting treats it the same way.
+The JSON-file loader, the record guard and the settings-precedence rule live
+here too, so that every module that reads a file or a setting treats it the
+same way.
 """
 
 import json
 import os
+from contextlib import contextmanager
 
 
 class HandoverError(Exception):
@@ -143,12 +145,20 @@ class SchemaError(InputFormatError):
     """JSON container violates its declared schema."""
 
 
+def _non_finite(literal: str):
+    raise ValueError(f"{literal} is not a finite number")
+
+
 def load_json_file(path):
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 JSON raise SchemaError."""
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 JSON raise SchemaError.
+
+    So do the ``NaN``, ``Infinity`` and ``-Infinity`` literals, which strict
+    JSON does not have but Python's parser accepts.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return json.load(fh, parse_constant=_non_finite)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError and _non_finite
         raise SchemaError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
@@ -162,3 +172,16 @@ def pick_setting(override, settings: dict, key: str, env: str | None = None, def
         if value is not None and value != "":
             return value
     return default
+
+
+@contextmanager
+def reading(what: str):
+    """Raise ``SchemaError("bad <what>: ...")`` for what a malformed record raises.
+
+    An ``InputFormatError`` from inside, such as a nested reader's own
+    ``SchemaError``, passes through unchanged.
+    """
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ModelMismatch) as exc:
+        raise SchemaError(f"bad {what}: {exc}") from exc

@@ -27,6 +27,33 @@ VERIFY_TOL = 1e-9
 QUAT_NORM_TOL = 1e-6
 
 
+def frozen_array(
+    value, shape: tuple, error: type[Exception], name: str, dtype=float
+) -> np.ndarray:
+    """A new read-only ``dtype`` array of finite values in ``shape``, else ``error``.
+
+    A None in ``shape`` accepts any length on that axis. Input that is not
+    numeric raises ``error`` too, and so does a fraction for an int ``dtype``.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must hold numbers: {exc}") from exc
+    if arr.shape != shape and (
+        arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+    ):
+        raise error(f"{name} must have shape {shape}, got {arr.shape}")
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # faster than .all() on small arrays
+        raise error(f"{name} must hold finite numbers")
+    if dtype is not float:
+        whole = arr.astype(dtype)
+        if not np.array_equal(whole, arr):
+            raise error(f"{name} must hold whole numbers")
+        arr = whole
+    arr.setflags(write=False)
+    return arr
+
+
 def _vec3(value, name: str = "vector") -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
@@ -61,16 +88,10 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if t.shape != (3,):
-            raise ValueError(f"translation must be (3,), got {t.shape}")
-        r.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        for name, shape in (("rotation", (3, 3)), ("translation", (3,))):
+            object.__setattr__(
+                self, name, frozen_array(getattr(self, name), shape, ValueError, name)
+            )
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -78,9 +99,7 @@ class RigidTransform:
 
     @classmethod
     def from_matrix(cls, matrix) -> "RigidTransform":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
+        m = frozen_array(matrix, (4, 4), ValueError, "matrix")
         if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > VERIFY_TOL:
             raise ValueError("last row must be [0, 0, 0, 1]")
         return cls(m[:3, :3], m[:3, 3])
@@ -125,12 +144,10 @@ class HandFrame:
     normal: np.ndarray
 
     def __post_init__(self):
-        for field in ("center", "direction", "normal"):
-            v = np.array(getattr(self, field), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{field} must be (3,), got {v.shape}")
-            v.setflags(write=False)
-            object.__setattr__(self, field, v)
+        for name in ("center", "direction", "normal"):
+            object.__setattr__(
+                self, name, frozen_array(getattr(self, name), (3,), ValueError, name)
+            )
 
     @property
     def rotation(self) -> np.ndarray:

@@ -23,8 +23,9 @@ from .errors import (
     NoCandidatesFound,
     SchemaError,
     load_json_file,
+    reading,
 )
-from .geometry import RigidTransform, row_dot
+from .geometry import RigidTransform, frozen_array, row_dot
 from .hand_model import PosedHand, geometric_center, hand_direction
 
 # Two-finger parallel gripper jaw limit (74 mm).
@@ -59,16 +60,12 @@ class GraspCandidate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GraspCandidate":
-        try:
-            matrix = np.asarray(data["matrix"], dtype=float).reshape(4, 4)
-            candidate = cls(
-                transform=RigidTransform.from_matrix(matrix),
+        with reading("grasp record"):
+            return cls(
+                transform=RigidTransform.from_matrix(np.reshape(data["matrix"], (4, 4))),
                 width=float(data["width_m"]),
                 source=str(data.get("source", "file")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad grasp record: {exc}") from exc
-        return candidate
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,10 @@ class GripperGeometry:
     sphere_radii: np.ndarray  # (S,)
 
     def __post_init__(self):
-        c = np.array(self.sphere_centers, dtype=float).reshape(-1, 3)
-        r = np.array(self.sphere_radii, dtype=float).reshape(-1)
-        if c.shape[0] < 1 or c.shape[0] != r.shape[0]:
-            raise ValueError("need matching, non-empty sphere centers and radii")
-        if np.any(r <= 0):
-            raise ValueError("sphere radii must be positive")
-        c.setflags(write=False)
-        r.setflags(write=False)
+        c = frozen_array(self.sphere_centers, (None, 3), ValueError, "sphere_centers")
+        r = frozen_array(self.sphere_radii, (c.shape[0],), ValueError, "sphere_radii")
+        if c.shape[0] < 1 or np.any(r <= 0):
+            raise ValueError("need at least one sphere, and positive radii")
         object.__setattr__(self, "sphere_centers", c)
         object.__setattr__(self, "sphere_radii", r)
 

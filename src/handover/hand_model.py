@@ -37,8 +37,9 @@ from .errors import (
     ParallelAxes,
     SchemaError,
     load_json_file,
+    reading,
 )
-from .geometry import HandFrame, build_frame, rot6d_to_matrix
+from .geometry import HandFrame, build_frame, frozen_array, rot6d_to_matrix
 
 NUM_VERTICES = 778
 NUM_JOINTS = 16
@@ -78,30 +79,19 @@ class HandModelParams:
     faces: np.ndarray | None = None  # (F, 3) int, optional mesh topology
 
     def __post_init__(self):
-        conv = {
-            "template_vertices": (float, (NUM_VERTICES, 3)),
-            "skinning_weights": (float, (NUM_VERTICES, NUM_JOINTS)),
-            "joint_regressor": (float, (NUM_KEYPOINTS, NUM_VERTICES)),
-            "parents": (int, (NUM_JOINTS,)),
+        arrays = {
+            "template_vertices": ((NUM_VERTICES, 3), float),
+            "skinning_weights": ((NUM_VERTICES, NUM_JOINTS), float),
+            "joint_regressor": ((NUM_KEYPOINTS, NUM_VERTICES), float),
+            "parents": ((NUM_JOINTS,), int),
+            "shape_dirs": ((NUM_VERTICES, 3, NUM_SHAPE_DIRS), float),
+            "faces": ((None, 3), int),
         }
-        for name, (dtype, shape) in conv.items():
-            arr = np.array(getattr(self, name), dtype=dtype)
-            if arr.shape != shape:
-                raise ModelMismatch(f"{name} must have shape {shape}, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.shape_dirs is not None:
-            sd = np.array(self.shape_dirs, dtype=float)
-            if sd.shape != (NUM_VERTICES, 3, NUM_SHAPE_DIRS):
-                raise ModelMismatch(f"shape_dirs must be (778, 3, 10), got {sd.shape}")
-            sd.setflags(write=False)
-            object.__setattr__(self, "shape_dirs", sd)
-        if self.faces is not None:
-            f = np.array(self.faces, dtype=int)
-            if f.ndim != 2 or f.shape[1] != 3:
-                raise ModelMismatch(f"faces must be (F, 3), got {f.shape}")
-            f.setflags(write=False)
-            object.__setattr__(self, "faces", f)
+        for name, (shape, dtype) in arrays.items():
+            value = getattr(self, name)
+            if value is None and name in ("shape_dirs", "faces"):
+                continue
+            object.__setattr__(self, name, frozen_array(value, shape, ModelMismatch, name, dtype))
         if self.handedness not in HANDEDNESS:
             raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
         self._validate_weights_and_tree()
@@ -152,20 +142,15 @@ class HandPose:
     handedness: str = "right"
 
     def __post_init__(self):
-        t = np.array(self.translation, dtype=float)
-        p = np.array(self.pose, dtype=float)
-        b = np.array(self.shape, dtype=float)
-        if t.shape != (3,):
-            raise ModelMismatch(f"translation must be (3,), got {t.shape}")
-        if p.shape != (NUM_JOINTS, 6):
-            raise ModelMismatch(f"pose must be (16, 6), got {p.shape}")
-        if b.shape != (NUM_SHAPE_DIRS,):
-            raise ModelMismatch(f"shape must be (10,), got {b.shape}")
+        for name, shape in (
+            ("translation", (3,)),
+            ("pose", (NUM_JOINTS, 6)),
+            ("shape", (NUM_SHAPE_DIRS,)),
+        ):
+            value = frozen_array(getattr(self, name), shape, ModelMismatch, name)
+            object.__setattr__(self, name, value)
         if self.handedness not in HANDEDNESS:
             raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
-        for arr, name in ((t, "translation"), (p, "pose"), (b, "shape")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @staticmethod
     def rest(handedness: str = "right") -> "HandPose":
@@ -185,15 +170,13 @@ class HandPose:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HandPose":
-        try:
+        with reading("hand pose record"):
             return cls(
-                translation=np.asarray(data["translation"], dtype=float),
-                pose=np.asarray(data["pose"], dtype=float),
-                shape=np.asarray(data.get("shape", np.zeros(NUM_SHAPE_DIRS)), dtype=float),
+                translation=data["translation"],
+                pose=data["pose"],
+                shape=data.get("shape", np.zeros(NUM_SHAPE_DIRS)),
                 handedness=data["handedness"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad hand pose record: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +188,11 @@ class PosedHand:
     handedness: str
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        if v.shape != (NUM_VERTICES, 3) or not np.all(np.isfinite(v)):
-            raise ModelMismatch(f"vertices must be finite ({NUM_VERTICES}, 3), got {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "joints", checked_keypoints(self.joints, ModelMismatch, "joints"))
+        for name, shape in (("vertices", (NUM_VERTICES, 3)), ("joints", (NUM_KEYPOINTS, 3))):
+            value = frozen_array(getattr(self, name), shape, ModelMismatch, name)
+            object.__setattr__(self, name, value)
+        if self.handedness not in HANDEDNESS:
+            raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
 
 
 # --- linear blend skinning -----------------------------------------------------
@@ -364,15 +346,7 @@ def checked_keypoints(
     keypoints, error: type[HandoverError], source: str = "keypoints"
 ) -> np.ndarray:
     """Keypoints as a new read-only float (21, 3) array of finite values, else ``error``."""
-    wanted = f"{source} must hold finite ({NUM_KEYPOINTS}, 3) numbers"
-    try:
-        kp = np.array(keypoints, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{wanted}: {exc}") from exc
-    if kp.shape != (NUM_KEYPOINTS, 3) or not np.all(np.isfinite(kp)):
-        raise error(f"{wanted}, got shape {kp.shape}")
-    kp.setflags(write=False)
-    return kp
+    return frozen_array(keypoints, (NUM_KEYPOINTS, 3), error, source)
 
 
 def frame_from_joints(joints) -> HandFrame:
@@ -444,8 +418,7 @@ def load_hand_model(path) -> HandModelParams:
     doc = load_json_file(path)
     if not isinstance(doc, dict) or doc.get("schema") != HAND_MODEL_SCHEMA:
         raise SchemaError(f"expected schema {HAND_MODEL_SCHEMA!r}")
-    try:
-        parents = np.asarray(doc["parents"], dtype=int)
+    with reading("hand model container"):
         shape_dirs = None
         if "shape_dirs" in doc:
             shape_dirs = decode_array(
@@ -468,12 +441,8 @@ def load_hand_model(path) -> HandModelParams:
             joint_regressor=decode_array(
                 doc["joint_regressor"], (NUM_KEYPOINTS, NUM_VERTICES), "joint_regressor"
             ),
-            parents=parents,
+            parents=doc["parents"],
             handedness=doc["handedness"],
             shape_dirs=shape_dirs,
             faces=faces,
         )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError, ModelMismatch) as exc:
-        raise SchemaError(f"bad hand model container: {exc}") from exc

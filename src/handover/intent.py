@@ -34,6 +34,7 @@ from .errors import (
     UnknownObject,
     load_json_file,
     pick_setting,
+    reading,
 )
 from .hand_model import checked_keypoints, classify_handedness
 
@@ -56,6 +57,10 @@ ENDPOINT_MODEL_ENV = "HANDOVER_ENDPOINT_MODEL"
 
 # --- catalog and task records ---------------------------------------------------
 
+def _is_name(value) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -69,8 +74,11 @@ class ToolCatalog:
 
     def __post_init__(self):
         names = [e.name for e in self.entries]
-        if any(not n.strip() for n in names):
-            raise SchemaError("catalog names must be non-empty")
+        if not all(_is_name(n) for n in names):
+            raise SchemaError("catalog names must be non-empty strings")
+        phrases = [p for e in self.entries for p in (*e.synonyms, *e.use_cases)]
+        if not all(isinstance(p, str) for p in phrases):
+            raise SchemaError("catalog synonyms and use cases must be strings")
         if len(set(n.lower() for n in names)) != len(names):
             raise SchemaError("catalog names must be unique")
 
@@ -103,7 +111,7 @@ class ToolCatalog:
     def from_json_dict(cls, data) -> "ToolCatalog":
         if not isinstance(data, list):
             raise SchemaError("catalog must be a JSON array")
-        try:
+        with reading("catalog record"):
             return cls(
                 tuple(
                     CatalogEntry(
@@ -114,8 +122,6 @@ class ToolCatalog:
                     for item in data
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad catalog record: {exc}") from exc
 
 
 def load_catalog(path) -> ToolCatalog:
@@ -133,6 +139,8 @@ class TaskDescription:
     handedness: str
 
     def __post_init__(self):
+        if not _is_name(self.object_name):
+            raise SchemaError(f"object must be a non-empty string, got {self.object_name!r}")
         if self.handedness not in ("left", "right"):
             raise SchemaError(f"handedness must be left/right, got {self.handedness!r}")
 
@@ -141,10 +149,8 @@ class TaskDescription:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TaskDescription":
-        try:
+        with reading("task record"):
             return cls(object_name=data["object"], handedness=data["hand"])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad task record: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +255,10 @@ class EndpointConfig:
     # kept out of repr so the credential can never reach logs
     api_token: str | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if not np.isfinite(self.timeout_s):
+            raise ValueError(f"timeout_s must be finite, got {self.timeout_s}")
+
     @classmethod
     def from_env(
         cls,
@@ -272,7 +282,7 @@ class EndpointConfig:
         url = pick_setting(base_url, settings, "base_url", ENDPOINT_URL_ENV)
         if not url:
             raise HandoverError(f"no endpoint URL (flag, {ENDPOINT_URL_ENV} or settings file)")
-        try:
+        with reading("endpoint setting"):
             return cls(
                 base_url=url,
                 model=pick_setting(model, settings, "model", ENDPOINT_MODEL_ENV, "default"),
@@ -280,8 +290,6 @@ class EndpointConfig:
                 retries=int(pick_setting(retries, settings, "retries", default=1)),
                 api_token=pick_setting(api_token, settings, "api_token", ENDPOINT_TOKEN_ENV),
             )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad endpoint setting: {exc}") from exc
 
 
 def llm_infer(config: EndpointConfig, prompt: str, image_bytes: bytes | None = None) -> str:
@@ -341,6 +349,8 @@ class CorpusItem:
     keypoints: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise SchemaError(f"corpus text must be a string, got {self.text!r}")
         if self.tier not in TIERS:
             raise SchemaError(f"tier must be one of {TIERS}, got {self.tier!r}")
         if self.keypoints is not None:
@@ -488,20 +498,16 @@ def load_corpus(path) -> list[CorpusItem]:
     data = load_json_file(path)
     if not isinstance(data, list):
         raise SchemaError("corpus must be a JSON array")
-    out = []
-    for record in data:
-        try:
-            out.append(
-                CorpusItem(
-                    text=record["text"],
-                    tier=record["tier"],
-                    truth=TaskDescription.from_dict(record["truth"]),
-                    keypoints=record.get("keypoints"),
-                )
+    with reading("corpus record"):
+        return [
+            CorpusItem(
+                text=record["text"],
+                tier=record["tier"],
+                truth=TaskDescription.from_dict(record["truth"]),
+                keypoints=record.get("keypoints"),
             )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad corpus record: {exc}") from exc
-    return out
+            for record in data
+        ]
 
 
 def save_corpus(corpus: Sequence[CorpusItem], path) -> None:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import ObjectCloud
-from .errors import MalformedHeader, UnsupportedEncoding
+from .errors import MalformedHeader, SchemaError, UnsupportedEncoding
+from .geometry import frozen_array
 from .grasp import GripperGeometry
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -83,7 +84,9 @@ def load_ply(path) -> ObjectCloud:
             raise MalformedHeader(f"expected {expected} body bytes, got {len(body)}")
         table = np.frombuffer(body[:expected], dtype="<f4").reshape(vertex_count, n_props)
 
-    cols = {name: table[:, i].astype(float) for i, name in enumerate(properties)}
+    # Checked before the normals are normalised, which would turn inf into NaN.
+    table = frozen_array(table, (vertex_count, n_props), SchemaError, "vertex values")
+    cols = {name: table[:, i] for i, name in enumerate(properties)}
     points = np.column_stack([cols["x"], cols["y"], cols["z"]])
     normals = None
     if all(axis in cols for axis in ("nx", "ny", "nz")):

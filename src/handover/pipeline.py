@@ -29,11 +29,13 @@ from .errors import (
     ProviderEmpty,
     SchemaError,
     load_json_file,
+    reading,
 )
 from .geometry import (
     HandFrame,
     RigidTransform,
     build_frame,
+    frozen_array,
     matching_transform,
     matrix_to_quat,
     transform_pose,
@@ -100,8 +102,8 @@ class CannedPoseProvider:
         return cls(library=library)
 
     def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> HandPose:
-        entry = self.library.get(task.object_name, {})
-        record = entry.get(task.handedness)
+        with reading("pose library entry"):
+            record = self.library.get(task.object_name, {}).get(task.handedness)
         if record is None:
             raise ProviderEmpty(
                 f"no canned {task.handedness} pose for {task.object_name!r}"
@@ -161,12 +163,6 @@ class StaticGraspProvider:
 
 
 # --- configuration and validation ------------------------------------------------
-
-@dataclass(frozen=True)
-class HardwareLimits:
-    max_jaw_width: float = MAX_JAW_WIDTH_M
-    min_clearance: float = 0.005
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -276,12 +272,12 @@ class HandoverConfiguration:
     def from_json_dict(cls, data: dict) -> "HandoverConfiguration":
         if not isinstance(data, dict) or data.get("schema") not in _READABLE_CONFIG_SCHEMAS:
             raise SchemaError(f"expected one of the schemas {_READABLE_CONFIG_SCHEMAS}")
-        try:
+        with reading("configuration record"):
             frame_rec, cloud_rec, hand_rec = data["hand_frame"], data["cloud"], data["hand"]
+            # Checked before build_frame, whose normalising would turn inf into NaN.
             frame = build_frame(
-                np.asarray(frame_rec["center"], dtype=float),
-                np.asarray(frame_rec["direction"], dtype=float),
-                np.asarray(frame_rec["normal"], dtype=float),
+                *(frozen_array(frame_rec[k], (3,), ValueError, f"hand_frame.{k}")
+                  for k in ("center", "direction", "normal"))
             )
             normals = cloud_rec.get("normals")
             return cls(
@@ -308,20 +304,17 @@ class HandoverConfiguration:
                 selection=SelectionRecord.from_dict(data["selection"]),
                 validation=ValidationReport.from_dict(data["validation"]),
             )
-        except SchemaError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError, ModelMismatch) as exc:
-            raise SchemaError(f"bad configuration record: {exc}") from exc
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _record_array(value, shape: tuple, name: str) -> np.ndarray:
-    """One large array of a record: base64 float64 (/2) or a number list (/1)."""
+def _record_array(value, shape: tuple, name: str):
+    """One large array of a record: base64 float64 (/2), else a /1 number list
+    that the dataclass keeping it checks."""
     if isinstance(value, str):
         return decode_array(value, shape, name, _RECORD_DTYPE)
-    return np.asarray(value, dtype=float)
+    return value
 
 
 def save_configuration(config: HandoverConfiguration, path) -> None:
@@ -335,12 +328,11 @@ def load_configuration(path) -> HandoverConfiguration:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Models and limits shared by pipeline invocations."""
+    """Models, scoring and gripper proxy shared by pipeline invocations."""
 
     hand_models: Mapping[str, HandModelParams]
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     gripper: GripperGeometry = field(default_factory=GripperGeometry.default_parallel_jaw)
-    limits: HardwareLimits = field(default_factory=HardwareLimits)
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
@@ -367,17 +359,16 @@ class PipelineConfig:
 def validate_configuration(
     config: HandoverConfiguration,
     gripper: GripperGeometry | None = None,
-    limits: HardwareLimits = HardwareLimits(),
+    min_clearance: float = 0.005,
 ) -> ValidationReport:
     """Re-check hardware and geometric constraints on a configuration.
 
-    When no gripper proxy is passed, the clearance recorded at assembly time
-    is judged against the limit instead of being re-measured.
+    The jaw width is checked against MAX_JAW_WIDTH_M. When no gripper proxy
+    is passed, the clearance recorded at assembly time is judged against
+    ``min_clearance`` instead of being re-measured.
     """
     if gripper is not None:
-        clearance = clearance_check(
-            config.grasp, gripper, config.hand, limits.min_clearance
-        ).min_distance
+        clearance = clearance_check(config.grasp, gripper, config.hand, min_clearance).min_distance
     else:
         clearance = config.selection.clearance.min_distance
     rotation = config.grasp.transform.rotation
@@ -392,14 +383,14 @@ def validate_configuration(
     )
     checks = {
         "jaw_width": CheckResult(
-            passed=0.0 < config.grasp.width <= limits.max_jaw_width,
+            passed=0.0 < config.grasp.width <= MAX_JAW_WIDTH_M,
             measured=float(config.grasp.width),
-            limit=limits.max_jaw_width,
+            limit=MAX_JAW_WIDTH_M,
         ),
         "clearance": CheckResult(
-            passed=clearance >= limits.min_clearance,
+            passed=clearance >= min_clearance,
             measured=clearance,
-            limit=limits.min_clearance,
+            limit=min_clearance,
         ),
         "grasp_rotation": CheckResult(
             passed=rotation_residual <= 1e-9,
@@ -475,11 +466,9 @@ def imagine_configuration(
     )
     # validate against the margin that actually gated selection, so an
     # emitted configuration always passes its own report
-    limits = HardwareLimits(
-        max_jaw_width=config.limits.max_jaw_width,
-        min_clearance=config.selection.clearance_margin,
+    report = validate_configuration(
+        config_out, config.gripper, config.selection.clearance_margin
     )
-    report = validate_configuration(config_out, config.gripper, limits)
     return replace(config_out, validation=report)
 
 

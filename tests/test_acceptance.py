@@ -338,7 +338,9 @@ def test_10_end_to_end_desk_run():
                 config,
             )
             slowest = max(slowest, time.perf_counter() - start)
-            revalidated = validate_configuration(result, config.gripper, config.limits)
+            revalidated = validate_configuration(
+                result, config.gripper, config.selection.clearance_margin
+            )
             all_pass = all_pass and result.validation.passed and revalidated.passed
             serials.append(result.to_json_text())
         deterministic = deterministic and serials[0] == serials[1]

@@ -9,6 +9,7 @@ from handover.geometry import (
     HandFrame,
     RigidTransform,
     build_frame,
+    frozen_array,
     matching_transform,
     matrix_to_quat,
     matrix_to_rot6d,
@@ -264,6 +265,65 @@ class TestRigidTransform:
             RigidTransform(np.eye(4), np.zeros(3))
         with pytest.raises(ValueError):
             RigidTransform.from_matrix(np.zeros((4, 4)))
+
+
+class _Wanted(Exception):
+    """Stands for the caller's own error type."""
+
+
+class TestFrozenArray:
+    def test_none_axis_accepts_any_length(self):
+        for rows in (1, 4, 250):
+            assert frozen_array(np.zeros((rows, 3)), (None, 3), _Wanted, "x").shape == (rows, 3)
+        with pytest.raises(_Wanted, match="^x must have shape"):
+            frozen_array(np.zeros((4, 2)), (None, 3), _Wanted, "x")
+        with pytest.raises(_Wanted, match="^x must have shape"):
+            frozen_array(np.zeros(3), (None, 3), _Wanted, "x")
+
+    def test_returns_a_read_only_copy(self):
+        source = np.arange(6.0).reshape(2, 3)
+        out = frozen_array(source, (2, 3), _Wanted, "x")
+        assert out.dtype == np.float64
+        assert np.array_equal(out, source)
+        assert not np.shares_memory(out, source)
+        assert not out.flags.writeable
+        source[0, 0] = 9.0
+        assert out[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+
+    def test_int_dtype(self):
+        out = frozen_array([[0, 1, 2], [2, 1, 0]], (None, 3), _Wanted, "faces", int)
+        assert out.dtype.kind == "i"
+        assert out.tolist() == [[0, 1, 2], [2, 1, 0]]
+        for bad in (np.array([0.0, np.nan, 2.0]), [0, np.inf, 2], [0, 1.5, 2]):
+            with pytest.raises(_Wanted):
+                frozen_array(bad, (3,), _Wanted, "faces", int)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", [1.0, "x", 2.0], [[1.0, 2.0], [3.0]], {"a": 1}, None],
+        ids=["string", "mixed", "ragged", "object", "none"],
+    )
+    def test_non_numeric_raises_callers_type(self, value):
+        with pytest.raises(_Wanted):
+            frozen_array(value, (3,), _Wanted, "x")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises_callers_type(self, bad):
+        with pytest.raises(_Wanted, match="^x must hold finite numbers"):
+            frozen_array([0.0, bad, 1.0], (3,), _Wanted, "x")
+
+    def test_value_types_reject_non_finite(self):
+        nan3 = [0.0, float("nan"), 0.0]
+        with pytest.raises(ValueError):
+            RigidTransform(np.eye(3), nan3)
+        with pytest.raises(ValueError):
+            HandFrame(nan3, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        bottom_nan = np.eye(4)
+        bottom_nan[3, 0] = np.nan
+        with pytest.raises(ValueError):
+            RigidTransform.from_matrix(bottom_nan)
 
 
 def test_random_unit_is_unit(rng):

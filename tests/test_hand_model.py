@@ -272,6 +272,37 @@ class TestModelValidation:
         with pytest.raises(ModelMismatch):
             PosedHand(vertices=vertices, joints=np.zeros((NUM_KEYPOINTS, 3)), handedness="right")
 
+    @pytest.mark.parametrize("field", ["template_vertices", "shape_dirs", "faces"])
+    def test_model_rejects_non_finite_or_misshapen_arrays(self, right_params, field):
+        good = dict(
+            template_vertices=right_params.template_vertices,
+            skinning_weights=right_params.skinning_weights,
+            joint_regressor=right_params.joint_regressor,
+            parents=right_params.parents,
+            handedness="right",
+            shape_dirs=np.zeros((NUM_VERTICES, 3, 10)),
+            faces=np.zeros((4, 3), dtype=int),
+        )
+        assert HandModelParams(**good).faces.shape == (4, 3)
+        misshapen = np.zeros((5, 2)) if field == "faces" else np.zeros((3,))
+        with pytest.raises(ModelMismatch, match=f"^{field} must have shape"):
+            HandModelParams(**dict(good, **{field: misshapen}))
+        non_finite = np.array(good[field], dtype=float)
+        non_finite.flat[7] = np.inf
+        with pytest.raises(ModelMismatch, match=f"^{field} must hold"):
+            HandModelParams(**dict(good, **{field: non_finite}))
+        if field == "template_vertices":  # required, unlike shape_dirs and faces
+            with pytest.raises(ModelMismatch):
+                HandModelParams(**dict(good, template_vertices=None))
+        else:
+            assert getattr(HandModelParams(**dict(good, **{field: None})), field) is None
+
+    def test_pose_rejects_non_finite(self):
+        pose = HandPose.rest().pose.copy()
+        pose[3, 1] = np.nan
+        with pytest.raises(ModelMismatch, match="^pose must hold finite numbers"):
+            HandPose(translation=np.zeros(3), pose=pose)
+
     def test_keypoint_driver_covers_all_joints(self):
         assert set(KEYPOINT_DRIVER.tolist()) == set(range(NUM_JOINTS))
 

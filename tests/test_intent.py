@@ -451,6 +451,19 @@ class TestCatalogFiles:
         with pytest.raises(SchemaError):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [{"object": 5, "hand": "right"}, {"object": " ", "hand": "left"}, ["knife", "right"]],
+        ids=["number", "blank", "not-object"],
+    )
+    def test_task_record_needs_a_string_object(self, record):
+        with pytest.raises(SchemaError):
+            TaskDescription.from_dict(record)
+
+    def test_rejects_non_string_catalog_name(self):
+        with pytest.raises(SchemaError):
+            ToolCatalog.from_json_dict([{"name": "knife"}, {"name": ["fork"]}])
+
     def test_report_dataclasses(self):
         stats = TierStats(items=4, passes=1)
         assert stats.accuracy == 25.0

@@ -6,7 +6,14 @@ import pytest
 from handover import io_formats, pipeline, synthetic
 from handover.cli import main
 from handover.cloud import ObjectCloud
-from handover.errors import MalformedHeader, UnsupportedEncoding
+from handover.errors import (
+    MalformedHeader,
+    ModelMismatch,
+    SchemaError,
+    UnsupportedEncoding,
+    reading,
+)
+from handover.hand_model import decode_array, encode_array
 from handover.intent import save_catalog, save_corpus
 from handover.io_formats import (
     SceneEntry,
@@ -466,8 +473,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "endpoint",
-        ["x", {"timeout_s": "abc"}, {"retries": [1]}],
-        ids=["string", "timeout", "retries"],
+        ["x", {"timeout_s": "abc"}, {"retries": [1]}, {"timeout_s": float("nan")}],
+        ids=["string", "timeout", "retries", "timeout-nan"],
     )
     def test_bad_endpoint_setting_exits_2(self, workdir, capsys, endpoint):
         """Rejected while resolving settings, before any request is made."""
@@ -585,13 +592,43 @@ _JSON_FLAG_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("flag", sorted(_JSON_FLAG_COMMANDS))
-def test_non_utf8_json_input_exits_2(json_inputs, tmp_path, capsys, flag):
-    bad = tmp_path / "not_utf8.json"
-    bad.write_bytes(b"\xff\xfe[1, 2, 3]")
+@pytest.mark.parametrize(
+    "exc", [AttributeError("a"), IndexError("i"), KeyError("k"), TypeError("t"),
+            ValueError("v"), ModelMismatch("m")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_reading_turns_record_errors_into_schema_error(exc):
+    with pytest.raises(SchemaError, match="^bad thing: ") as info:
+        with reading("thing"):
+            raise exc
+    assert info.value.__cause__ is exc
+
+
+def test_reading_lets_format_errors_through():
+    inner = MalformedHeader("inner")
+    with pytest.raises(MalformedHeader) as info:
+        with reading("thing"):
+            raise inner
+    assert info.value is inner
+    with pytest.raises(ZeroDivisionError):
+        with reading("thing"):
+            raise ZeroDivisionError
+
+
+# The PLY flag, for the bad-value cases below; its reader is not JSON.
+_FLAG_COMMANDS = {
+    **_JSON_FLAG_COMMANDS,
+    "--cloud": ["imagine", "--task", "task.json", "--cloud", "@", "--sample-antipodal",
+                "--out", "@out"],
+}
+
+
+def _assert_bad_input_exits_2(json_inputs, tmp_path, capsys, flag, content: bytes):
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(content)
     paths = {"@": bad, "@out": tmp_path / "out.json"}
     argv = []
-    for word in _JSON_FLAG_COMMANDS[flag]:
+    for word in _FLAG_COMMANDS[flag]:
         if word in paths:
             word = str(paths[word])
         elif (json_inputs / word).exists():
@@ -603,3 +640,97 @@ def test_non_utf8_json_input_exits_2(json_inputs, tmp_path, capsys, flag):
     assert "SchemaError" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag", sorted(_JSON_FLAG_COMMANDS))
+def test_non_utf8_json_input_exits_2(json_inputs, tmp_path, capsys, flag):
+    _assert_bad_input_exits_2(json_inputs, tmp_path, capsys, flag, b"\xff\xfe[1, 2, 3]")
+
+
+def _edited(name, keys, value):
+    """The valid ``name`` input with the entry at ``keys`` set to ``value``, or to
+    ``value(entry)`` when ``value`` is callable."""
+
+    def build(root):
+        doc = json.loads((root / name).read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value(node[keys[-1]]) if callable(value) else value
+        return json.dumps(doc).encode()  # writes NaN and Infinity literals
+
+    return build
+
+
+def _one_nan(shape, dtype):
+    """Puts a NaN into a base64 array, where no JSON literal check can see it."""
+
+    def change(encoded):
+        values = decode_array(encoded, shape, "values", dtype).copy()
+        values.flat[4] = np.nan
+        return encode_array(values, dtype)
+
+    return change
+
+
+_NAN_NORMAL_PLY = """ply
+format ascii 1.0
+element vertex 3
+property float x
+property float y
+property float z
+property float nx
+property float ny
+property float nz
+end_header
+0 0 0 0 0 1
+1 0 0 nan 0 0
+0 1 0 0 0 1
+"""
+_NAN, _INF = float("nan"), float("inf")
+
+
+_POSE = ("cylinder", "right", "pose")
+
+
+@pytest.mark.parametrize(
+    "flag, build",
+    [
+        pytest.param("--poses", _edited("poses.json", ("cylinder",), "x"),
+                     id="pose-entry-not-object"),
+        pytest.param("--poses", _edited("poses.json", _POSE, [[1, 0, 0, 0, 1, 0]] * 3),
+                     id="pose-wrong-shape"),
+        pytest.param("--poses", _edited("poses.json", (*_POSE, 2, 1), _NAN), id="pose-nan"),
+        pytest.param("--grasps", _edited("grasps.json", (0, "matrix", 13), _NAN),
+                     id="grasp-nan-bottom-row"),
+        pytest.param("--grasps", _edited("grasps.json", (0, "matrix", 5), _NAN),
+                     id="grasp-nan-rotation"),
+        pytest.param("--catalog", _edited("catalog.json", (0, "name"), 5),
+                     id="catalog-name-not-string"),
+        pytest.param("--catalog", _edited("catalog.json", (0, "synonyms"), [5]),
+                     id="catalog-synonym-not-string"),
+        pytest.param("--corpus", _edited("corpus.json", (0, "text"), 5),
+                     id="corpus-text-not-string"),
+        pytest.param("--config", _edited("config.json", ("hand_frame", "center", 1), _NAN),
+                     id="record-center-nan"),
+        pytest.param("--config", _edited("config.json", ("grasp", "matrix", 3), _INF),
+                     id="record-translation-inf"),
+        pytest.param("--config", _edited("config.json", ("selection", "score"), _NAN),
+                     id="record-score-nan"),
+        pytest.param("--config", _edited("config.json", ("hand", "handedness"), "x"),
+                     id="record-handedness"),
+        pytest.param("--config",
+                     _edited("config.json", ("cloud", "normals"), _one_nan((None, 3), "<f8")),
+                     id="record-normals-nan"),
+        pytest.param("--hand-model",
+                     _edited("hand.json", ("template_vertices",), _one_nan((778, 3), "<f4")),
+                     id="hand-model-nan"),
+        pytest.param("--cloud", lambda root: _NAN_NORMAL_PLY.encode(), id="ply-normal-nan"),
+        pytest.param("--cloud", lambda root: _NAN_NORMAL_PLY.replace("nan", "inf").encode(),
+                     id="ply-normal-inf"),
+        pytest.param("--task", _edited("task.json", ("object",), 5),
+                     id="task-object-not-string"),
+    ],
+)
+def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):
+    _assert_bad_input_exits_2(json_inputs, tmp_path, capsys, flag, build(json_inputs))

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -35,7 +36,6 @@ from handover.pipeline import (
     AntipodalGraspProvider,
     CannedPoseProvider,
     HandoverConfiguration,
-    HardwareLimits,
     PipelineConfig,
     ProceduralPoseProvider,
     StaticGraspProvider,
@@ -88,6 +88,11 @@ class TestProviders:
         provider = CannedPoseProvider(library={})
         with pytest.raises(ProviderEmpty):
             provider(TaskDescription("cylinder", "left"), cylinder_cloud)
+
+    @pytest.mark.parametrize("library", [{"cylinder": "x"}, {"cylinder": {"left": "x"}}])
+    def test_canned_provider_rejects_malformed_entry(self, cylinder_cloud, library):
+        with pytest.raises(SchemaError):
+            CannedPoseProvider(library=library)(TaskDescription("cylinder", "left"), cylinder_cloud)
 
     def test_procedural_provider_reaches_from_minus_x(self, cylinder_cloud):
         pose = ProceduralPoseProvider()(TaskDescription("cylinder", "right"), cylinder_cloud)
@@ -361,12 +366,16 @@ class TestValidateConfiguration:
         )
 
     def test_custom_limits(self, cylinder_config):
-        strict = HardwareLimits(max_jaw_width=0.01, min_clearance=0.5)
-        report = validate_configuration(
-            cylinder_config, GripperGeometry.default_parallel_jaw(), strict
-        )
-        assert not report.checks["jaw_width"].passed
+        gripper = GripperGeometry.default_parallel_jaw()
+        report = validate_configuration(cylinder_config, gripper, min_clearance=0.5)
+        assert report.checks["jaw_width"].passed
         assert not report.checks["clearance"].passed
+        assert report.checks["clearance"].limit == 0.5
+
+        wide = GraspCandidate(cylinder_config.grasp.transform, 0.08)
+        report = validate_configuration(dataclasses.replace(cylinder_config, grasp=wide))
+        assert not report.checks["jaw_width"].passed
+        assert report.checks["jaw_width"].limit == 0.074
 
 
 def _v1_json_dict(config):
@@ -512,6 +521,28 @@ class TestSerialization:
     @pytest.mark.parametrize("corrupt", [_truncated_points, _short_vertices, _ragged_normals])
     def test_rejects_corrupt_arrays(self, cylinder_config, tmp_path, capsys, corrupt):
         _assert_rejected(cylinder_config, tmp_path, capsys, corrupt)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("hand_frame", "center", 1), float("nan")),
+            (("hand_frame", "direction", 0), float("inf")),
+            (("grasp", "matrix", 3), float("inf")),
+            (("grasp", "matrix", 14), float("nan")),
+            (("hand_pose", "pose", 2, 1), float("nan")),
+            (("hand_pose", "translation", 0), -float("inf")),
+        ],
+        ids=["center", "direction", "translation", "bottom-row", "pose", "pose-translation"],
+    )
+    def test_reader_rejects_non_finite_values(self, cylinder_config, keys, value):
+        doc = json.loads(cylinder_config.to_json_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(SchemaError, match="^bad configuration record: |^bad grasp record: "
+                           "|^bad hand pose record: "):
+            HandoverConfiguration.from_json_dict(doc)
 
     def test_quaternion_provenance_fields(self, cylinder_config):
         observed = cylinder_config.hand.joints + (
