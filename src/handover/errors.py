@@ -183,5 +183,7 @@ def reading(what: str):
     """
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ModelMismatch) as exc:
+    except (
+        AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ModelMismatch
+    ) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc

@@ -80,6 +80,18 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors, or row-wise of two (K, 3) arrays.
+
+    It runs the multiplies and subtracts of ``np.cross``, so the result is
+    bitwise equal, without the per-call overhead that makes ``np.cross`` on
+    one pair cost many times its arithmetic.
+    """
+    a0, a1, a2 = np.asarray(a).T
+    b0, b1, b2 = np.asarray(b).T
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rigid motion x -> rotation @ x + translation."""
@@ -152,7 +164,7 @@ class HandFrame:
     @property
     def rotation(self) -> np.ndarray:
         d, p = self.direction, self.normal
-        return np.column_stack([d, np.cross(p, d), p])
+        return np.column_stack([d, cross3(p, d), p])
 
     def as_transform(self) -> RigidTransform:
         return RigidTransform(self.rotation, self.center)
@@ -207,22 +219,48 @@ def transform_pose(position, quaternion, transform: RigidTransform):
 def rot6d_to_matrix(r6) -> np.ndarray:
     """Decode 6 numbers (two stacked 3-vectors) into a rotation matrix.
 
-    Gram-Schmidt: b1 = normalize(v1), b2 = normalize(v2 - (v2.b1) b1),
-    b3 = b1 x b2; output columns are [b1, b2, b3].
+    The one-block case of rot6d_to_matrices, and it raises what that raises.
     """
     v = np.asarray(r6, dtype=float).reshape(-1)
     if v.shape != (6,):
         raise ValueError(f"6D rotation input must have 6 entries, got {v.shape}")
-    b1 = unit(v[:3], name="first 6D axis")
-    v2 = v[3:]
-    if np.linalg.norm(v2) <= 1e-9:
-        raise DegenerateDirection("second 6D axis has ~zero norm")
-    residual = v2 - (v2 @ b1) * b1
-    if np.linalg.norm(residual) <= 1e-9:
-        raise ParallelAxes("6D axes are parallel")
-    b2 = residual / np.linalg.norm(residual)
-    b3 = np.cross(b1, b2)
-    return np.column_stack([b1, b2, b3])
+    return rot6d_to_matrices(v[None])[0]
+
+
+def rot6d_to_matrices(blocks) -> np.ndarray:
+    """Decode a (K, 6) stack of 6D blocks into (K, 3, 3) rotation matrices.
+
+    Gram-Schmidt: b1 = normalize(v1), b2 = normalize(v2 - (v2.b1) b1),
+    b3 = b1 x b2; output columns are [b1, b2, b3]. Norms and dots go through
+    row_dot, so each matrix is bitwise what one block decoded with
+    ``np.linalg.norm`` and ``@`` gives. The first block that cannot be
+    decoded raises DegenerateDirection (first axis, then second axis) or
+    ParallelAxes, with its row index in the error's ``block`` attribute.
+    """
+    v = np.asarray(blocks, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 6:
+        raise ValueError(f"6D rotation blocks must have shape (K, 6), got {v.shape}")
+    v1, v2 = v[:, :3], v[:, 3:]
+    n1 = np.sqrt(row_dot(v1, v1))
+    first_bad = n1 <= 1e-9
+    # A zero first axis fails below; dividing it by 1 keeps numpy from warning.
+    b1 = v1 / np.where(first_bad, 1.0, n1)[:, None]
+    second_bad = np.sqrt(row_dot(v2, v2)) <= 1e-9
+    residual = v2 - row_dot(v2, b1)[:, None] * b1
+    n_residual = np.sqrt(row_dot(residual, residual))
+    failed = first_bad | second_bad | (n_residual <= 1e-9)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if first_bad[k]:
+            exc = DegenerateDirection(f"first 6D axis has norm {float(n1[k]):.3e}")
+        elif second_bad[k]:
+            exc = DegenerateDirection("second 6D axis has ~zero norm")
+        else:
+            exc = ParallelAxes("6D axes are parallel")
+        exc.block = k
+        raise exc
+    b2 = residual / n_residual[:, None]
+    return np.stack([b1, b2, cross3(b1, b2)], axis=2)
 
 
 def matrix_to_rot6d(matrix) -> np.ndarray:

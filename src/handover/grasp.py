@@ -33,6 +33,12 @@ MAX_JAW_WIDTH_M = 0.074
 
 COSINE_MODES = ("signed", "absolute")
 
+# ObjectCloud accepts normals of unit length within 1e-6. Two normals of norm
+# at most 1 + e can pass the friction-cone test with n_i . n_j as large as
+# -cos 2theta + 2e + e^2, so the sampler's normal-dot prefilter bound carries
+# a slack well above that and above round-off.
+_PAIR_PREFILTER_SLACK = 1e-5
+
 
 @dataclass(frozen=True, eq=False)
 class GraspCandidate:
@@ -63,7 +69,7 @@ class GraspCandidate:
         with reading("grasp record"):
             return cls(
                 transform=RigidTransform.from_matrix(np.reshape(data["matrix"], (4, 4))),
-                width=float(data["width_m"]),
+                width=float(frozen_array(data["width_m"], (), SchemaError, "grasp.width_m")),
                 source=str(data.get("source", "file")),
             )
 
@@ -216,7 +222,14 @@ def antipodal_candidates(
     rng = np.random.default_rng(seed)
 
     if n_points <= 256:
-        ii, jj = np.triu_indices(n_points, k=1)
+        # Normals within theta of -axis and of +axis have n_i . n_j <= -cos 2theta
+        # = 1 - 2 cos^2 theta when theta < 90 degrees. The exact test below runs
+        # on the pairs this keeps, in the row-major order of triu_indices.
+        if cos_cone > 0.0:
+            kept = normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
+        else:
+            kept = np.ones((n_points, n_points), dtype=bool)
+        ii, jj = np.nonzero(np.triu(kept, k=1))
     else:
         n_pairs = max(count * 200, 2000)
         ii = rng.integers(0, n_points, size=n_pairs)

@@ -39,7 +39,7 @@ from .errors import (
     load_json_file,
     reading,
 )
-from .geometry import HandFrame, build_frame, frozen_array, rot6d_to_matrix
+from .geometry import HandFrame, build_frame, cross3, frozen_array, rot6d_to_matrices
 
 NUM_VERTICES = 778
 NUM_JOINTS = 16
@@ -254,12 +254,10 @@ def lbs_forward(params: HandModelParams, pose: HandPose) -> PosedHand:
     rest_keypoints = params.joint_regressor @ rest_vertices
     rest_joints = rest_keypoints[SKELETON_KEYPOINT]
 
-    rotations = np.empty((NUM_JOINTS, 3, 3))
-    for k in range(NUM_JOINTS):
-        try:
-            rotations[k] = rot6d_to_matrix(pose.pose[k])
-        except (DegenerateDirection, ParallelAxes) as exc:
-            raise InvalidPoseBlock(f"joint {k}: {exc}") from exc
+    try:
+        rotations = rot6d_to_matrices(pose.pose)
+    except (DegenerateDirection, ParallelAxes) as exc:
+        raise InvalidPoseBlock(f"joint {exc.block}: {exc}") from exc
 
     vertices, relative = skin_vertices(
         rest_vertices, params.skinning_weights, rest_joints, params.parents, rotations
@@ -306,7 +304,7 @@ def normal_from_joints(joints, handedness: str) -> np.ndarray:
     vector is palm-out for both.
     """
     j = np.asarray(joints, dtype=float)
-    raw = np.cross(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
+    raw = cross3(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
     if np.linalg.norm(raw) < 1e-9:
         raise DegenerateNormal("wrist, index base and pinky base are collinear")
     sign = 1.0 if handedness == "right" else -1.0
@@ -325,7 +323,7 @@ def classify_handedness(joints) -> str:
     """
     j = np.asarray(joints, dtype=float)
     triple = float(
-        np.cross(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
+        cross3(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
         @ (j[THUMB_BASE] - j[WRIST])
     )
     if abs(triple) < 1e-9:

@@ -191,8 +191,8 @@ class ValidationReport:
             checks={
                 name: CheckResult(
                     passed=bool(rec["passed"]),
-                    measured=float(rec["measured"]),
-                    limit=float(rec["limit"]),
+                    measured=_record_scalar(rec["measured"], f"validation.{name}.measured"),
+                    limit=_record_scalar(rec["limit"], f"validation.{name}.limit"),
                 )
                 for name, rec in data.items()
             }
@@ -218,14 +218,17 @@ class SelectionRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionRecord":
+        fallbacks = tuple(data.get("fallbacks", ()))
+        for k, fallback in enumerate(fallbacks):
+            _record_scalar(fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m")
         clearance = ClearanceResult(
-            passed=True, min_distance=float(data["clearance_m"])
+            passed=True, min_distance=_record_scalar(data["clearance_m"], "selection.clearance_m")
         )
         return cls(
             selected_index=int(data["selected_index"]),
-            score=float(data["score"]),
+            score=_record_scalar(data["score"], "selection.score"),
             clearance=clearance,
-            fallbacks=tuple(data.get("fallbacks", ())),
+            fallbacks=fallbacks,
         )
 
 
@@ -307,6 +310,11 @@ class HandoverConfiguration:
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _record_scalar(value, name: str) -> float:
+    """One number of a record that no value type checks: finite, else SchemaError."""
+    return float(frozen_array(value, (), SchemaError, name))
 
 
 def _record_array(value, shape: tuple, name: str):
@@ -465,10 +473,9 @@ def imagine_configuration(
         validation=ValidationReport(checks={}),
     )
     # validate against the margin that actually gated selection, so an
-    # emitted configuration always passes its own report
-    report = validate_configuration(
-        config_out, config.gripper, config.selection.clearance_margin
-    )
+    # emitted configuration always passes its own report; the clearance was
+    # measured for the chosen candidate above and is not measured again
+    report = validate_configuration(config_out, None, config.selection.clearance_margin)
     return replace(config_out, validation=report)
 
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cloud import ObjectCloud
+from .geometry import cross3
 from .hand_model import (
     KEYPOINT_DRIVER,
     NUM_KEYPOINTS,
@@ -61,9 +62,9 @@ def _perp_pair(axis: np.ndarray):
     pick = int(np.argmin(np.abs(axis)))
     basis = np.zeros(3)
     basis[pick] = 1.0
-    u = np.cross(axis, basis)
+    u = cross3(axis, basis)
     u /= np.linalg.norm(u)
-    return u, np.cross(axis, u)
+    return u, cross3(axis, u)
 
 
 @lru_cache(maxsize=4)

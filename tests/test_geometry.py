@@ -9,6 +9,7 @@ from handover.geometry import (
     HandFrame,
     RigidTransform,
     build_frame,
+    cross3,
     frozen_array,
     matching_transform,
     matrix_to_quat,
@@ -157,6 +158,26 @@ class TestTransformPose:
     def test_rejects_non_unit_quaternion(self):
         with pytest.raises(NonUnitQuaternion):
             transform_pose((0, 0, 0), (1, 1, 0, 0), RigidTransform.identity())
+
+
+class TestCross3:
+    @staticmethod
+    def _vectors(rng, shape):
+        """Normal vectors at magnitudes spread over 1e-6 to 1e3."""
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 3, size=shape[:-1] + (1,))
+
+    def test_bitwise_equal_to_np_cross_on_single_vectors(self, rng):
+        for _ in range(2000):
+            a, b = self._vectors(rng, (3,)), self._vectors(rng, (3,))
+            assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    def test_bitwise_equal_to_np_cross_on_stacks(self, rng):
+        a, b = self._vectors(rng, (5000, 3)), self._vectors(rng, (5000, 3))
+        assert cross3(a, b).shape == (5000, 3)
+        assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    def test_right_handed_basis(self):
+        assert np.array_equal(cross3((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.0, 0.0, 1.0))
 
 
 class TestRot6d:

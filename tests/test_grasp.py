@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -57,21 +58,39 @@ def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction
     it bit for bit, including the order of its RNG draws.
     """
     cloud = cloud.with_normals()
-    points, normals, centroid = cloud.points, cloud.normals, cloud.centroid
-    n_points = points.shape[0]
+    n_points = cloud.points.shape[0]
     if n_points < 2:
         raise NoCandidatesFound("need at least two points")
-    effective_width = min(float(max_width), MAX_JAW_WIDTH_M)
-    cos_cone = np.cos(friction_half_angle)
     rng = np.random.default_rng(seed)
     if n_points <= 256:
-        ii, jj = np.triu_indices(n_points, k=1)
+        raw = _reference_all_pairs(cloud, max_width, friction_half_angle)
     else:
         n_pairs = max(count * 200, 2000)
         ii = rng.integers(0, n_points, size=n_pairs)
         jj = rng.integers(0, n_points, size=n_pairs)
         keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
+        raw = _reference_qualifying(cloud, ii[keep], jj[keep], max_width, friction_half_angle)
+    if len(raw) > count:
+        chosen = sorted(rng.choice(len(raw), size=count, replace=False).tolist())
+        raw = [raw[i] for i in chosen]
+    return raw
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_all_pairs(cloud, max_width, friction_half_angle):
+    """All-pairs reference list, which does not depend on the seed or count.
+
+    Tests ask for one (cloud, angle) many times in a row; the cache keeps the
+    latest list only, since the wide-cone ones hold some 25k entries."""
+    ii, jj = np.triu_indices(cloud.points.shape[0], k=1)
+    return _reference_qualifying(cloud, ii, jj, max_width, friction_half_angle)
+
+
+def _reference_qualifying(cloud, ii, jj, max_width, friction_half_angle):
+    """Sorted (rotation, midpoint, width) of every qualifying pair (ii, jj)."""
+    points, normals, centroid = cloud.points, cloud.normals, cloud.centroid
+    effective_width = min(float(max_width), MAX_JAW_WIDTH_M)
+    cos_cone = np.cos(friction_half_angle)
     span = points[jj] - points[ii]
     sep = np.linalg.norm(span, axis=1)
     ok = (sep > 1e-9) & (sep <= effective_width)
@@ -99,9 +118,6 @@ def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction
         rotation = np.column_stack([u, np.cross(approach, u), approach])
         raw.append((rotation, midpoint, float(width)))
     raw.sort(key=lambda item: (tuple(item[1]), tuple(item[0].reshape(-1)), item[2]))
-    if len(raw) > count:
-        chosen = sorted(rng.choice(len(raw), size=count, replace=False).tolist())
-        raw = [raw[i] for i in chosen]
     return raw
 
 
@@ -130,19 +146,25 @@ _RANDOM_PAIR_CLOUDS = [
 ]
 
 
-def _assert_matches_reference(cloud, count, seed):
+def _assert_matches_reference(cloud, count, seed, friction_half_angle=0.3):
     try:
-        expected = _reference_antipodal(cloud, count, seed)
+        expected = _reference_antipodal(
+            cloud, count, seed, friction_half_angle=friction_half_angle
+        )
     except NoCandidatesFound:
         with pytest.raises(NoCandidatesFound):
-            antipodal_candidates(cloud, count=count, seed=seed)
+            antipodal_candidates(
+                cloud, friction_half_angle=friction_half_angle, count=count, seed=seed
+            )
         return 0
-    out = antipodal_candidates(cloud, count=count, seed=seed)
+    out = antipodal_candidates(
+        cloud, friction_half_angle=friction_half_angle, count=count, seed=seed
+    )
     assert len(out) == len(expected)
-    for cand, (rotation, midpoint, width) in zip(out, expected):
-        assert np.array_equal(cand.transform.rotation, rotation)
-        assert np.array_equal(cand.transform.translation, midpoint)
-        assert cand.width == width
+    # Whole stacks at once: np.array_equal is still exact, entry by entry.
+    assert np.array_equal([c.transform.rotation for c in out], [r for r, _, _ in expected])
+    assert np.array_equal([c.transform.translation for c in out], [m for _, m, _ in expected])
+    assert [c.width for c in out] == [w for _, _, w in expected]
     return len(expected)
 
 
@@ -355,13 +377,26 @@ class TestAntipodal:
         assert np.array_equal(cand.transform.rotation[:, 2], (0.0, 0.0, 1.0))
         assert cand.source == "antipodal-sampler"
 
+    def test_prefilter_slack_covers_normals_off_unit(self):
+        """Normals 0.9e-6 longer than unit, which ObjectCloud accepts, that
+        just pass the cone test: n_i . n_j exceeds -cos 2theta by about 2e-6."""
+        half_angle, stretch = 0.3, 1.0 + 0.9e-6
+        c = (np.cos(half_angle) + 1e-12) / stretch
+        s = np.sqrt(1.0 - c * c)
+        normals = stretch * np.array([(-c, s, 0.0), (c, s, 0.0)])
+        assert normals[0] @ normals[1] > -np.cos(2 * half_angle) + 1e-6
+        cloud = ObjectCloud("pair", np.array([(-0.02, 0, 0), (0.02, 0, 0)]), normals)
+        assert len(antipodal_candidates(cloud, friction_half_angle=half_angle)) == 1
+
     @pytest.mark.parametrize("cloud", _ALL_PAIRS_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}")
     def test_all_pairs_path_matches_reference_loop(self, cloud):
         assert len(cloud.points) <= 256
-        for seed in range(10):
-            # 10**6 is more than there are pairs: all of them, in order.
-            for count in (1, 16, 10**6):
-                _assert_matches_reference(cloud, count, seed)
+        # 1.7 rad is past 90 degrees, where the normal-dot prefilter is off.
+        for half_angle in (0.1, 0.3, 0.6, 1.0, 1.7):
+            for seed in range(10):
+                # 10**6 is more than there are pairs: all of them, in order.
+                for count in (1, 16, 10**6):
+                    _assert_matches_reference(cloud, count, seed, half_angle)
 
     @pytest.mark.parametrize(
         "cloud", _RANDOM_PAIR_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}"

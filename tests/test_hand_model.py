@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from handover import synthetic
+from handover import hand_model, synthetic
 from handover.errors import (
     AmbiguousHandedness,
     DegenerateDirection,
     DegenerateNormal,
     InvalidPoseBlock,
     ModelMismatch,
+    ParallelAxes,
     SchemaError,
 )
-from handover.geometry import matrix_to_rot6d, random_rotation, rot_z
+from handover.geometry import matrix_to_rot6d, random_rotation, rot6d_to_matrices, rot_z
 from handover.hand_model import (
     KEYPOINT_DRIVER,
     NUM_JOINTS,
@@ -141,6 +142,107 @@ class TestLbsForward:
     def test_handedness_mismatch_raises(self, right_params):
         with pytest.raises(ModelMismatch):
             lbs_forward(right_params, HandPose.rest("left"))
+
+
+def _reference_rot6d(r6):
+    """The single-block decode lbs_forward ran once per joint before the stack."""
+    v = np.asarray(r6, dtype=float)
+    n1 = float(np.linalg.norm(v[:3]))
+    if n1 <= 1e-9:
+        raise DegenerateDirection(f"first 6D axis has norm {n1:.3e}")
+    b1 = v[:3] / n1
+    v2 = v[3:]
+    if np.linalg.norm(v2) <= 1e-9:
+        raise DegenerateDirection("second 6D axis has ~zero norm")
+    residual = v2 - (v2 @ b1) * b1
+    if np.linalg.norm(residual) <= 1e-9:
+        raise ParallelAxes("6D axes are parallel")
+    b2 = residual / np.linalg.norm(residual)
+    return np.column_stack([b1, b2, np.cross(b1, b2)])
+
+
+def _reference_rotations(blocks):
+    """lbs_forward's per-joint loop, first failing joint first."""
+    rotations = np.empty((len(blocks), 3, 3))
+    for k, block in enumerate(blocks):
+        try:
+            rotations[k] = _reference_rot6d(block)
+        except (DegenerateDirection, ParallelAxes) as exc:
+            raise InvalidPoseBlock(f"joint {k}: {exc}") from exc
+    return rotations
+
+
+# Failing blocks by joint index; every other joint holds the identity block.
+_FAILING_BLOCKS = {
+    "first-axis-zero": ({5: (0, 0, 0, 0, 1, 0)}, 5),
+    "first-axis-tiny": ({0: (1e-10, 0, 0, 0, 1, 0)}, 0),
+    "second-axis-zero": ({2: (1, 0, 0, 0, 0, 0)}, 2),
+    "parallel": ({9: (1, 0, 0, -2, 0, 0)}, 9),
+    "parallel-tiny-residual": ({15: (0, 1, 0, 1e-10, 3, 0)}, 15),
+    "all-three-in-one-block": ({7: (0, 0, 0, 0, 0, 0)}, 7),
+    "parallel-before-first-axis": ({4: (1, 0, 0, 2, 0, 0), 11: (0, 0, 0, 0, 1, 0)}, 4),
+    "first-axis-before-parallel": ({3: (0, 0, 0, 0, 1, 0), 12: (0, 1, 0, 0, 3, 0)}, 3),
+    "second-axis-before-first-axis": ({1: (0, 0, 1, 0, 0, 0), 6: (0, 0, 0, 1, 0, 0)}, 1),
+}
+
+
+class TestStackedDecode:
+    """The stacked 6D decode against the per-joint loop it replaced, bit for bit."""
+
+    @staticmethod
+    def _outcome(decode, blocks):
+        """The decoded bytes, or the failing block's error type and message."""
+        try:
+            return decode(blocks).tobytes()
+        except InvalidPoseBlock as exc:
+            return type(exc.__cause__), str(exc)
+        except (DegenerateDirection, ParallelAxes) as exc:
+            return type(exc), f"joint {exc.block}: {exc}"
+
+    def test_matches_per_block_reference(self, rng):
+        outcomes = set()
+        for _ in range(400):
+            blocks = rng.normal(size=(16, 6)) * 10.0 ** rng.uniform(-6, 3, size=(16, 1))
+            # Nearly parallel axes, which at small scales fail the residual check.
+            blocks[::5, 3:] = 2.5 * blocks[::5, :3] + 1e-3 * blocks[::5, 3:]
+            got = self._outcome(rot6d_to_matrices, blocks)
+            assert got == self._outcome(_reference_rotations, blocks)
+            outcomes.add(type(got))
+        assert outcomes == {bytes, tuple}
+
+    def test_lbs_forward_matches_per_joint_reference(self, right_params, left_params, rng,
+                                                     monkeypatch):
+        poses = [
+            HandPose(
+                translation=rng.normal(size=3) * 0.1,
+                pose=rng.normal(size=(NUM_JOINTS, 6)) * 10.0 ** rng.uniform(-3, 2),
+                handedness=params.handedness,
+            )
+            for params in (right_params, left_params)
+            for _ in range(150)
+        ]
+        params = {"right": right_params, "left": left_params}
+        stacked = [lbs_forward(params[p.handedness], p) for p in poses]
+        monkeypatch.setattr(hand_model, "rot6d_to_matrices", _reference_rotations)
+        for pose, got in zip(poses, stacked):
+            want = lbs_forward(params[pose.handedness], pose)
+            assert np.array_equal(got.vertices, want.vertices)
+            assert np.array_equal(got.joints, want.joints)
+
+    @pytest.mark.parametrize("name", sorted(_FAILING_BLOCKS))
+    def test_first_failing_joint_raises_what_the_loop_raised(self, right_params, name):
+        failing, first = _FAILING_BLOCKS[name]
+        blocks = rest_pose_blocks()
+        for k, block in failing.items():
+            blocks[k] = block
+        with pytest.raises(InvalidPoseBlock) as want:
+            _reference_rotations(blocks)
+        with pytest.raises(InvalidPoseBlock) as got:
+            lbs_forward(right_params, HandPose(translation=np.zeros(3), pose=blocks))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"joint {first}: ")
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+        assert got.value.__cause__.block == first
 
 
 def rest_pose_blocks():

@@ -594,7 +594,7 @@ _JSON_FLAG_COMMANDS = {
 
 @pytest.mark.parametrize(
     "exc", [AttributeError("a"), IndexError("i"), KeyError("k"), TypeError("t"),
-            ValueError("v"), ModelMismatch("m")],
+            ValueError("v"), ModelMismatch("m"), OverflowError("o")],
     ids=lambda exc: type(exc).__name__,
 )
 def test_reading_turns_record_errors_into_schema_error(exc):
@@ -662,6 +662,13 @@ def _edited(name, keys, value):
     return build
 
 
+def _overflowing(name, keys, value="1e999"):
+    """Like _edited, with every string "1e999" written as the bare literal 1e999:
+    a number beyond the float range, which Python's parser reads as inf."""
+    build = _edited(name, keys, value)
+    return lambda root: build(root).replace(b'"1e999"', b"1e999")
+
+
 def _one_nan(shape, dtype):
     """Puts a NaN into a base64 array, where no JSON literal check can see it."""
 
@@ -719,6 +726,26 @@ _POSE = ("cylinder", "right", "pose")
                      id="record-score-nan"),
         pytest.param("--config", _edited("config.json", ("hand", "handedness"), "x"),
                      id="record-handedness"),
+        pytest.param("--config", _overflowing("config.json", ("selection", "score")),
+                     id="record-score-1e999"),
+        pytest.param("--config", _overflowing("config.json", ("selection", "clearance_m")),
+                     id="record-clearance-1e999"),
+        pytest.param("--config", _overflowing("config.json", ("selection", "selected_index")),
+                     id="record-selected-index-1e999"),
+        pytest.param("--config",
+                     _overflowing("config.json", ("selection", "fallbacks"),
+                                  [{"index": 0, "min_distance_m": "1e999"}]),
+                     id="record-fallback-1e999"),
+        pytest.param("--config",
+                     _overflowing("config.json", ("validation", "clearance", "measured")),
+                     id="record-measured-1e999"),
+        pytest.param("--config",
+                     _overflowing("config.json", ("validation", "jaw_width", "limit")),
+                     id="record-limit-1e999"),
+        pytest.param("--config", _overflowing("config.json", ("grasp", "width_m")),
+                     id="record-width-1e999"),
+        pytest.param("--grasps", _overflowing("grasps.json", (0, "width_m")),
+                     id="grasp-width-1e999"),
         pytest.param("--config",
                      _edited("config.json", ("cloud", "normals"), _one_nan((None, 3), "<f8")),
                      id="record-normals-nan"),

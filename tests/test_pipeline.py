@@ -196,6 +196,27 @@ class TestImagine:
         assert config.selection.fallbacks[0]["index"] == 0
         assert config.selection.fallbacks[0]["min_distance_m"] < 0.005
 
+    def test_clearance_measured_once_when_best_passes(self, cylinder_cloud, pipe_config,
+                                                      monkeypatch):
+        calls = []
+        original = pipeline.clearance_check
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "clearance_check", counting)
+        config = imagine_configuration(
+            TaskDescription("cylinder", "right"),
+            cylinder_cloud,
+            ProceduralPoseProvider(),
+            AntipodalGraspProvider(seed=7),
+            pipe_config,
+        )
+        assert config.selection.fallbacks == ()
+        assert len(calls) == 1
+        assert config.validation.checks["clearance"].measured == config.selection.clearance.min_distance
+
     def test_missing_hand_model_raises(self, cylinder_cloud):
         config = PipelineConfig(hand_models={"right": synthetic.synthetic_hand_params("right")})
         with pytest.raises(ModelMismatch):
