@@ -1,4 +1,4 @@
-"""Object point clouds and local normal estimation."""
+"""Object point clouds, exact k-nearest-neighbour search and local normal estimation."""
 
 from __future__ import annotations
 
@@ -42,12 +42,16 @@ class ObjectCloud:
 def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
     """Per-point normals from local PCA, oriented outward from the centroid.
 
-    Brute-force k-nearest-neighbour search: O(N^2) work in 512-row chunks,
-    O(512 N) memory for one chunk's squared distances. The PCA runs on all
-    points at once, with one stacked ``eigh``, and its result is bitwise
-    equal to a per-point ``np.cov`` / ``eigh`` loop.
+    Each neighbourhood is the point and its ``neighbors`` nearest points
+    (fewer on a smaller cloud) from ``nearest_neighbors``: exact, in order of
+    squared distance with ties broken by index. On a surface cloud the search
+    takes O(N log N) time and O(N) memory. The PCA runs on all points at once,
+    with one stacked ``eigh``, and its result is bitwise equal to a per-point
+    ``np.cov`` / ``eigh`` loop over the same neighbourhoods.
     """
-    p = np.asarray(points, dtype=float)
+    if isinstance(neighbors, bool) or not isinstance(neighbors, (int, np.integer)) or neighbors < 1:
+        raise ValueError(f"neighbors must be an integer >= 1, got {neighbors!r}")
+    p = frozen_array(points, (None, 3), ValueError, "points")
     n_points = p.shape[0]
     if n_points < 3:
         # Too few points for a plane fit; fall back to radial directions.
@@ -58,15 +62,7 @@ def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
         return out
 
     k = min(neighbors, n_points - 1)
-    idx = np.empty((n_points, k + 1), dtype=np.intp)
-    chunk = 512
-    for start in range(0, n_points, chunk):
-        block = p[start : start + chunk]
-        # dx^2 + dy^2 + dz^2 in this order rounds like a sum over the last axis.
-        d2 = (block[:, None, 0] - p[None, :, 0]) ** 2
-        d2 += (block[:, None, 1] - p[None, :, 1]) ** 2
-        d2 += (block[:, None, 2] - p[None, :, 2]) ** 2
-        idx[start : start + chunk] = np.argpartition(d2, kth=k, axis=1)[:, : k + 1]
+    idx = nearest_neighbors(p, k + 1)
 
     # Same operations, in the same order, as np.cov on each neighbourhood.
     nbrs = p[idx]
@@ -76,3 +72,121 @@ def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
     outward = p - p.mean(axis=0)
     normals = np.where(row_dot(normals, outward)[:, None] < 0, -normals, normals)
     return normals / np.sqrt(row_dot(normals, normals))[:, None]
+
+
+# The 27 cells of a 3 x 3 x 3 block, as (dx, dy, dz) steps.
+_BLOCK = np.array([(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
+# Squared distances held at once; bounds the search's working memory.
+_CHUNK = 1 << 15
+
+
+def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` nearest points of each point, itself included, as (N, count)
+    indices ordered by squared distance, ties broken by index.
+
+    That is the first ``count`` columns of a stable argsort of each row of the
+    full distance matrix, whose entries are dx^2 + dy^2 + dz^2 in that order,
+    but without building it. The points are hashed into cubic cells, and each
+    point's candidates are the points of the 3 x 3 x 3 block of cells around
+    its own. A row is accepted only if its count-th squared distance is
+    strictly below that of any point the block leaves out, which lies at
+    least as far as the block's nearest face (less a rounding slack).
+    Rejected rows go round again on a grid of twice the edge; once every
+    point shares one cell, every row is accepted. The first edge gives a disc
+    of ``count`` points at the mean density of the bounding box's surface, so
+    a surface cloud needs one or two rounds. Far outliers stretch the box, so
+    before any row is done the edge is halved while the median point's block
+    holds more than 16 ``count`` points. Rows run in chunks of at most about
+    ``_CHUNK`` distances: the working memory is O(N) for the grid plus
+    O(_CHUNK).
+    """
+    p = np.asarray(points, dtype=float)
+    n = p.shape[0]
+    if not 1 <= count <= n:
+        raise ValueError(f"count must be in [1, {n}], got {count}")
+    lo = p.min(axis=0)
+    extent = p.max(axis=0) - lo
+    area = 2.0 * (extent[0] * extent[1] + extent[1] * extent[2] + extent[2] * extent[0])
+    # A cloud along a line (no area) gets count points per two edges. No edge
+    # is below the floor, which keeps every cell key below 2**63; a cloud on
+    # a single spot takes any edge.
+    floor = extent.max() / 2**20 or 1.0
+    edge = max(np.sqrt(area * count / (np.pi * n)), extent.max() * count / (2.0 * n), floor)
+    sizing = True
+    scale = np.abs(p).max()
+    coords = np.append(p, np.full((1, 3), np.inf), axis=0).T.copy()  # index n pads rows
+    out = np.empty((n, count), dtype=np.intp)
+    pending = np.arange(n)
+    while pending.size:
+        q = (p - lo) / edge
+        cell = np.floor(q).astype(np.int64) + 1  # from 1, so no block wraps round an axis
+        cells, key, first, width, members = _blocks(cell)
+        # Rows of similar width share a chunk, padded to its widest row.
+        at = np.searchsorted(cells, key[pending])
+        rank = np.argsort(width[at], kind="stable")
+        pending, first, width = pending[rank], first[at[rank]], width[at[rank]]
+        if sizing and width[n // 2] > 16 * count and edge / 2.0 >= floor:
+            edge /= 2.0
+            continue
+        sizing = False
+        frac = q[pending] - (cell[pending] - 1)  # position in the own cell, in [0, 1)
+        # The slack covers the rounding of q and d2, some 1e-15 (|p| + edge),
+        # many times over.
+        reach = edge * np.minimum(frac + 1.0, 2.0 - frac).min(axis=1) - 1e-12 * (scale + 4.0 * edge)
+        bound = np.where(reach > 0.0, reach * reach, -1.0)
+        whole = cells.size == 1
+        failed = []
+        a = 0
+        while a < pending.size:
+            cap = max(int(1.5 * width[a]), count)
+            b = a + max(1, min(np.searchsorted(width[a:], cap, side="right"), _CHUNK // cap))
+            rows = pending[a:b]
+            col = np.arange(max(int(width[b - 1]), count))
+            cand = members[np.where(col < width[a:b, None], first[a:b, None] + col, -1)]
+            # dx^2 + dy^2 + dz^2, in this order, with few temporaries.
+            d2 = np.zeros(cand.shape)
+            for axis in coords:
+                step = axis[cand]
+                step -= axis[rows, None]
+                step *= step
+                d2 += step
+            # Complex numbers sort by real part, then imaginary: by (d2, index).
+            order = np.empty(d2.shape, dtype=complex)
+            order.real = d2
+            order.imag = cand
+            best = np.argpartition(order, count - 1, axis=1)[:, :count]
+            best = np.sort(np.take_along_axis(order, best, axis=1), axis=1)
+            ok = whole | (best[:, -1].real < bound[a:b])
+            out[rows[ok]] = best[ok].imag.astype(np.intp)
+            failed.append(rows[~ok])
+            a = b
+        pending = np.concatenate(failed)
+        edge *= 2.0
+    return out
+
+
+def _blocks(cell: np.ndarray):
+    """Hash (N, 3) cell indices, each at least 1, into one key per point.
+
+    Returns the sorted keys of the occupied cells, the key of each point and,
+    for each occupied cell, where in ``members`` the indices of the points of
+    its 3 x 3 x 3 block start and how many there are. ``members`` ends with
+    N, the padding slot.
+    """
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    steps = (_BLOCK[:, 0] * dims[1] + _BLOCK[:, 1]) * dims[2] + _BLOCK[:, 2]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    start = np.flatnonzero(np.diff(sorted_key, prepend=sorted_key[0] - 1))
+    cells = sorted_key[start]
+    count = np.diff(start, append=key.size)
+    near = cells[:, None] + steps
+    at = np.minimum(np.searchsorted(cells, near), cells.size - 1)
+    found = np.where(cells[at] == near, count[at], 0).ravel()
+    # Block after block, each the concatenated runs of `order` of its cells.
+    ends = np.cumsum(found)
+    members = order[np.arange(ends[-1]) + np.repeat(start[at].ravel() - ends + found, found)]
+    width = found.reshape(-1, steps.size).sum(axis=1)
+    first = ends[steps.size - 1 :: steps.size] - width
+    return cells, key, first, width, np.append(members, key.size)

@@ -220,12 +220,13 @@ class SelectionRecord:
     def from_dict(cls, data: dict) -> "SelectionRecord":
         fallbacks = tuple(data.get("fallbacks", ()))
         for k, fallback in enumerate(fallbacks):
+            _record_index(fallback["index"], f"selection.fallbacks[{k}].index")
             _record_scalar(fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m")
         clearance = ClearanceResult(
             passed=True, min_distance=_record_scalar(data["clearance_m"], "selection.clearance_m")
         )
         return cls(
-            selected_index=int(data["selected_index"]),
+            selected_index=_record_index(data["selected_index"], "selection.selected_index"),
             score=_record_scalar(data["score"], "selection.score"),
             clearance=clearance,
             fallbacks=fallbacks,
@@ -315,6 +316,11 @@ class HandoverConfiguration:
 def _record_scalar(value, name: str) -> float:
     """One number of a record that no value type checks: finite, else SchemaError."""
     return float(frozen_array(value, (), SchemaError, name))
+
+
+def _record_index(value, name: str) -> int:
+    """One whole number of a record, else SchemaError: 2.7 is not read as 2."""
+    return int(frozen_array(value, (), SchemaError, name, int))
 
 
 def _record_array(value, shape: tuple, name: str):

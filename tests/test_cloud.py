@@ -1,27 +1,45 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from handover.cloud import estimate_normals
+from handover import cloud
+from handover.cloud import estimate_normals, nearest_neighbors
 
 
-def _reference_normals(points, neighbors=12):
+def _reference_neighbors(points, count, argpartition=False):
+    """Brute force: the first ``count`` columns of a stable argsort of each
+    row of the distance matrix, so by squared distance, ties by index. With
+    ``argpartition``, the search estimate_normals ran before its grid search."""
+    p = np.asarray(points, dtype=float)
+    rows = []
+    for start in range(0, len(p), 512):
+        block = p[start : start + 512]
+        d2 = ((block[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+        if argpartition:
+            rows.append(np.argpartition(d2, kth=count - 1, axis=1)[:, :count])
+        else:
+            rows.append(np.argsort(d2, axis=1, kind="stable")[:, :count])
+    return np.concatenate(rows)
+
+
+def _argpartition_neighbors(points, count):
+    return _reference_neighbors(points, count, argpartition=True)
+
+
+def _reference_normals(points, neighbors=12, search=_reference_neighbors):
     """The per-point np.cov / eigh loop estimate_normals was written as."""
     p = np.asarray(points, dtype=float)
-    n_points = p.shape[0]
-    k = min(neighbors, n_points - 1)
+    idx = search(p, min(neighbors, len(p) - 1) + 1)
     centroid = p.mean(axis=0)
     normals = np.empty_like(p)
-    chunk = 512
-    for start in range(0, n_points, chunk):
-        block = p[start : start + chunk]
-        d2 = ((block[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argpartition(d2, kth=k, axis=1)[:, : k + 1]
-        for row, base in enumerate(range(start, min(start + chunk, n_points))):
-            _, vecs = np.linalg.eigh(np.cov(p[idx[row]].T))
-            normal = vecs[:, 0]
-            if normal @ (p[base] - centroid) < 0:
-                normal = -normal
-            normals[base] = normal / np.linalg.norm(normal)
+    for base, row in enumerate(idx):
+        _, vecs = np.linalg.eigh(np.cov(p[row].T))
+        normal = vecs[:, 0]
+        if normal @ (p[base] - centroid) < 0:
+            normal = -normal
+        normals[base] = normal / np.linalg.norm(normal)
     return normals
 
 
@@ -40,17 +58,7 @@ def _fibonacci_sphere(n_points, radius=0.05):
     return radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-@pytest.mark.parametrize("n_points", [3, 13, 511, 512, 513, 1100])
-def test_bitwise_equal_to_per_point_loop(n_points):
-    rng = np.random.default_rng(n_points)
-    jittered = rng.normal(scale=0.05, size=(n_points, 3))
-    for points in (jittered, _grid_cloud(n_points)):
-        assert np.array_equal(estimate_normals(points), _reference_normals(points))
-
-
-def test_sphere_normals_are_radial():
-    points = _fibonacci_sphere(600)
-    normals = estimate_normals(points)
+def _assert_radial(points, normals):
     radial = points / np.linalg.norm(points, axis=1, keepdims=True)
     cos = np.clip(np.sum(normals * radial, axis=1), -1.0, 1.0)
     angle = np.degrees(np.arccos(cos))
@@ -59,6 +67,151 @@ def test_sphere_normals_are_radial():
     assert angle.max() <= 4.0
     assert np.median(angle) <= 1.5
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+
+
+def _grid_rounds(monkeypatch):
+    """The number of occupied cells of each grid the search builds, in order."""
+    rounds = []
+    blocks = cloud._blocks
+
+    def counted(*args):
+        out = blocks(*args)
+        rounds.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(cloud, "_blocks", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("n_points", [3, 13, 256, 257, 511, 512, 513, 1100, 2000])
+def test_bitwise_equal_to_per_point_loop(n_points):
+    rng = np.random.default_rng(n_points)
+    jittered = rng.normal(scale=0.05, size=(n_points, 3))
+    for points in (jittered, _grid_cloud(n_points)):
+        assert np.array_equal(estimate_normals(points), _reference_normals(points))
+
+
+def _special_clouds():
+    rng = np.random.default_rng(7)
+    flat = rng.normal(scale=0.03, size=(300, 3))
+    flat[:, 2] = 0.25
+    line = np.outer(rng.random(200), (0.02, -0.05, 0.01)) + (1.0, 2.0, 3.0)
+    blob = rng.normal(scale=0.01, size=(299, 3))
+    return {
+        "exact-grid": _grid_cloud(729),
+        "duplicates": np.repeat(rng.normal(scale=0.02, size=(40, 3)), 5, axis=0),
+        "coplanar": flat,
+        "collinear": line,
+        "far-outlier": np.vstack([blob, [(50.0, 0.0, 0.0)]]),
+        "one-spot": np.full((30, 3), 0.125),
+    }
+
+
+@pytest.mark.parametrize("name", list(_special_clouds()))
+def test_special_clouds_match_brute_force(name):
+    points = _special_clouds()[name]
+    for count in (1, 2, 13, len(points)):
+        assert np.array_equal(nearest_neighbors(points, count), _reference_neighbors(points, count))
+    assert np.array_equal(estimate_normals(points), _reference_normals(points))
+
+
+@pytest.mark.parametrize("far", [1, 5, 80])
+def test_far_points_take_extra_rounds(monkeypatch, far):
+    """A blob of 300 points 5 cm across, and ``far`` points scattered 50 m off."""
+    rng = np.random.default_rng(far)
+    points = np.vstack([
+        rng.normal(scale=0.01, size=(300, 3)),
+        rng.uniform(49.0, 51.0, size=(far, 3)),
+    ])
+    rounds = _grid_rounds(monkeypatch)
+    assert np.array_equal(nearest_neighbors(points, 13), _reference_neighbors(points, 13))
+    # The far points stretch the box, so the first edge puts the blob in one
+    # cell: finer grids follow before any row is done. The far points' own
+    # rows then need coarser grids again.
+    assert max(rounds) > 8 * rounds[0]
+    assert rounds[-1] < max(rounds)
+
+
+def test_count_must_fit_the_cloud():
+    for count in (0, 31):
+        with pytest.raises(ValueError, match="count must be in"):
+            nearest_neighbors(np.zeros((30, 3)), count)
+
+
+@pytest.mark.parametrize("n_points", [13, 511, 512, 513, 1100])
+def test_argpartition_search_on_tie_free_clouds(n_points):
+    """The search this replaced finds the same neighbours. Where it also
+    returned them by ascending distance, the normal has the same bytes: numpy
+    2 with AVX2 or AVX-512 selection does so for every row here, numpy
+    without SIMD selection for almost none."""
+    points = np.random.default_rng(n_points).normal(scale=0.05, size=(n_points, 3))
+    old = _argpartition_neighbors(points, 13)
+    new = nearest_neighbors(points, 13)
+    assert np.array_equal(np.sort(old, axis=1), np.sort(new, axis=1))
+    same_order = (old == new).all(axis=1)
+    old_normals = _reference_normals(points, search=_argpartition_neighbors)
+    assert np.array_equal(estimate_normals(points)[same_order], old_normals[same_order])
+
+
+# SHA-256 of the (3001, 13) little-endian int64 neighbour indices of
+# _integer_cloud(); the cloud's integer coordinates tie often.
+_INTEGER_CLOUD_DIGEST = "2ee5e3a3e986ded146651e21c077a1443ca8adad3aa63cde1a856acfce37f5ea"
+
+
+def _integer_cloud():
+    """3000 points on a paraboloid-like sheet, plus one far point, made with
+    integer arithmetic only, so the cloud is the same bytes everywhere."""
+    i = np.arange(3000, dtype=np.int64)
+    x = (i * 37) % 101
+    y = (i * 53) % 89
+    z = (x * x + 3 * y * y) // 97
+    points = np.column_stack([x, y, z])
+    return np.vstack([points, [(100_000, 7, -3)]]).astype(float)
+
+
+def test_neighbour_order_is_the_same_on_every_numpy():
+    points = _integer_cloud()
+    idx = nearest_neighbors(points, 13)
+    assert np.array_equal(idx, _reference_neighbors(points, 13))
+    digest = hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest()
+    assert digest == _INTEGER_CLOUD_DIGEST
+
+
+def test_sphere_normals_are_radial():
+    points = _fibonacci_sphere(600)
+    _assert_radial(points, estimate_normals(points))
+
+
+def test_large_cloud_memory_stays_bounded():
+    rng = np.random.default_rng(20_000)
+    points = _fibonacci_sphere(20_000) + rng.normal(scale=2e-5, size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        normals = estimate_normals(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A brute-force search's 512 x 20k block of distances alone is 78 MiB.
+    assert peak < 64 * 2**20
+    _assert_radial(points, normals)
+
+
+@pytest.mark.parametrize("neighbors", [0, -3, 2.5, True, "12", None])
+def test_neighbors_must_be_a_positive_integer(neighbors):
+    with pytest.raises(ValueError, match="neighbors must be an integer >= 1"):
+        estimate_normals(_fibonacci_sphere(50), neighbors=neighbors)
+
+
+def test_neighbors_takes_numpy_integers():
+    points = _fibonacci_sphere(50)
+    assert np.array_equal(estimate_normals(points, np.int64(5)), estimate_normals(points, 5))
+
+
+def test_points_must_be_finite_rows_of_three():
+    with pytest.raises(ValueError, match="points must hold finite numbers"):
+        estimate_normals([(0.0, 0.0, 0.0), (1.0, np.nan, 0.0), (0.0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="points must have shape"):
+        estimate_normals(np.zeros((5, 2)))
 
 
 def test_fewer_than_three_points_fall_back_to_radial():

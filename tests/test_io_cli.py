@@ -736,6 +736,20 @@ _POSE = ("cylinder", "right", "pose")
                      _overflowing("config.json", ("selection", "fallbacks"),
                                   [{"index": 0, "min_distance_m": "1e999"}]),
                      id="record-fallback-1e999"),
+        pytest.param("--config", _edited("config.json", ("selection", "selected_index"), 2.7),
+                     id="record-selected-index-fraction"),
+        pytest.param("--config",
+                     _edited("config.json", ("selection", "fallbacks"),
+                             [{"index": "x", "min_distance_m": 0.001}]),
+                     id="record-fallback-index-string"),
+        pytest.param("--config",
+                     _edited("config.json", ("selection", "fallbacks"),
+                             [{"index": 0.5, "min_distance_m": 0.001}]),
+                     id="record-fallback-index-fraction"),
+        pytest.param("--config",
+                     _edited("config.json", ("selection", "fallbacks"),
+                             [{"min_distance_m": 0.001}]),
+                     id="record-fallback-index-missing"),
         pytest.param("--config",
                      _overflowing("config.json", ("validation", "clearance", "measured")),
                      id="record-measured-1e999"),
