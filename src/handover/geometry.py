@@ -34,9 +34,13 @@ def frozen_array(
 
     A None in ``shape`` accepts any length on that axis. Input that is not
     numeric raises ``error`` too, and so does a fraction for an int ``dtype``.
+    Strings, bytes and booleans are not numbers here, even "12" or True.
     """
     try:
-        arr = np.array(value, dtype=float)
+        arr = value if isinstance(value, np.ndarray) else np.array(value)
+        if arr.dtype.kind not in "fiu":
+            raise TypeError(f"got {arr.dtype} values")
+        arr = np.array(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{name} must hold numbers: {exc}") from exc
     if arr.shape != shape and (
@@ -354,7 +358,7 @@ def matrix_to_quat(matrix) -> np.ndarray:
     return quat_canonical(q)
 
 
-# --- elementary rotations and random sampling ---------------------------------
+# --- elementary rotations -----------------------------------------------------
 
 def rot_x(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -369,29 +373,3 @@ def rot_y(angle: float) -> np.ndarray:
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def random_unit(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        v = rng.normal(size=3)
-        n = np.linalg.norm(v)
-        if n > 1e-6:
-            return v / n
-
-
-def random_quaternion(rng: np.random.Generator) -> np.ndarray:
-    q = rng.normal(size=4)
-    return quat_canonical(q / np.linalg.norm(q))
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    return quat_to_matrix(random_quaternion(rng))
-
-
-def random_frame(rng: np.random.Generator, scale: float = 0.5) -> HandFrame:
-    """Random valid hand frame with center in a +-scale cube."""
-    while True:
-        d = random_unit(rng)
-        p = random_unit(rng)
-        if abs(float(d @ p)) < 0.99:
-            return build_frame(rng.uniform(-scale, scale, size=3), d, p)

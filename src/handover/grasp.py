@@ -25,7 +25,7 @@ from .errors import (
     load_json_file,
     reading,
 )
-from .geometry import RigidTransform, frozen_array, row_dot
+from .geometry import RigidTransform, cross3, frozen_array, row_dot
 from .hand_model import PosedHand, geometric_center, hand_direction
 
 # Two-finger parallel gripper jaw limit (74 mm).
@@ -48,14 +48,9 @@ class GraspCandidate:
     width: float
     source: str = "external"
 
-    def validate(self) -> None:
-        if not np.isfinite(self.width) or not (0.0 < self.width <= MAX_JAW_WIDTH_M):
-            raise InvalidCandidate(
-                f"jaw width {self.width} m outside (0, {MAX_JAW_WIDTH_M}]"
-            )
-        r = self.transform.rotation
-        if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-9 or abs(np.linalg.det(r) - 1) > 1e-9:
-            raise InvalidCandidate("candidate rotation is not a proper rotation")
+    def validate(self, index: int = 0) -> None:
+        """InvalidCandidate, naming ``index``, for a bad width or rotation."""
+        CandidateSet.of([self]).validate(index)
 
     def to_dict(self) -> dict:
         return {
@@ -72,6 +67,60 @@ class GraspCandidate:
                 width=float(frozen_array(data["width_m"], (), SchemaError, "grasp.width_m")),
                 source=str(data.get("source", "file")),
             )
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """K candidates as stacked arrays with one source tag; ``candidates[k]``
+    builds candidate k. Rotations and translations must be finite; ``validate``
+    judges the widths and rotations."""
+
+    rotations: np.ndarray  # (K, 3, 3)
+    translations: np.ndarray  # (K, 3)
+    widths: np.ndarray  # (K,)
+    source: str = "external"
+
+    def __post_init__(self):
+        widths = np.array(self.widths, dtype=float).reshape(-1)
+        widths.setflags(write=False)
+        object.__setattr__(self, "widths", widths)
+        for name, shape in (("rotations", (3, 3)), ("translations", (3,))):
+            value = frozen_array(getattr(self, name), (len(widths), *shape), ValueError, name)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, candidates: Sequence[GraspCandidate]) -> "CandidateSet":
+        """The candidates stacked; a CandidateSet is returned as it is."""
+        if isinstance(candidates, CandidateSet):
+            return candidates
+        return cls(
+            np.array([c.transform.rotation for c in candidates]).reshape(-1, 3, 3),
+            np.array([c.transform.translation for c in candidates]).reshape(-1, 3),
+            [c.width for c in candidates],
+        )
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __getitem__(self, k) -> GraspCandidate:
+        transform = RigidTransform(self.rotations[k], self.translations[k])
+        return GraspCandidate(transform, float(self.widths[k]), self.source)
+
+    def validate(self, first: int = 0) -> None:
+        """InvalidCandidate naming the first bad candidate, counted from ``first``:
+        a width outside (0, MAX_JAW_WIDTH_M], else ||R^T R - I||_F or |det R - 1| > 1e-9."""
+        bad_width = ~((self.widths > 0.0) & (self.widths <= MAX_JAW_WIDTH_M))
+        r = self.rotations
+        gram = (np.swapaxes(r, 1, 2) @ r - np.eye(3)).reshape(-1, 9)
+        bad = bad_width | (np.sqrt(row_dot(gram, gram)) > 1e-9)
+        bad |= np.abs(np.linalg.det(r) - 1.0) > 1e-9
+        if bad.any():
+            k = int(np.argmax(bad))
+            if bad_width[k]:
+                why = f"jaw width {self.widths[k]} m outside (0, {MAX_JAW_WIDTH_M}]"
+            else:
+                why = "candidate rotation is not a proper rotation"
+            raise InvalidCandidate(f"candidate {first + k}: {why}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +197,19 @@ class GraspSelection(NamedTuple):
 def rank_candidates(
     candidates: Sequence[GraspCandidate], hand: PosedHand, config: SelectionConfig
 ):
-    """(index, score) pairs sorted best (lowest score) first, stable on ties."""
+    """(index, score) pairs sorted best (lowest score) first, stable on ties.
+    One array pass; each score is bitwise what score_candidate gives."""
     if len(candidates) == 0:
         raise EmptyCandidateSet("no grasp candidates to rank")
-    v_h = hand_direction(hand)
-    p_h = geometric_center(hand.vertices)
-    scored = []
-    for i, cand in enumerate(candidates):
-        p_g, v_g = gripper_center_and_direction(cand)
-        scored.append((i, score_candidate(v_g, p_g, v_h, p_h, config)))
-    scored.sort(key=lambda pair: (pair[1], pair[0]))
-    return scored
+    stack = CandidateSet.of(candidates)
+    v_g = stack.rotations[:, :, 2]
+    cos = row_dot(v_g, np.broadcast_to(hand_direction(hand), v_g.shape))
+    if config.cosine_mode == "absolute":
+        cos = np.abs(cos)
+    offset = stack.translations - geometric_center(hand.vertices)
+    scores = cos - config.distance_weight * np.sqrt(row_dot(offset, offset))
+    order = np.argsort(scores, kind="stable")
+    return list(zip(order.tolist(), scores[order].tolist()))
 
 
 def select_grasp(
@@ -197,15 +248,16 @@ def antipodal_candidates(
     friction_half_angle: float = 0.3,
     count: int = 16,
     seed: int = 0,
-) -> list[GraspCandidate]:
+) -> CandidateSet:
     """Deterministic parallel-jaw grasp sampling from opposing point pairs.
 
     A pair qualifies when its separation fits the jaw and both estimated
     normals oppose the pair axis within the friction cone. The grasp frame
     closes along the pair axis (column 1) and approaches perpendicular to it
     from the side away from the cloud centroid (column 3), with the grasp
-    center at the pair midpoint. Output is sorted canonically before the
-    seeded subsample so the result only depends on (inputs, seed).
+    center at the pair midpoint. The seeded subsample draws ranks in the
+    canonical order (midpoint, then row-major rotation, then width), so the
+    returned CandidateSet, in that order, depends only on (inputs, seed).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -229,7 +281,8 @@ def antipodal_candidates(
             kept = normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
         else:
             kept = np.ones((n_points, n_points), dtype=bool)
-        ii, jj = np.nonzero(np.triu(kept, k=1))
+        # Flat indices and divmod: cheaper than the 2-D nonzero, same order.
+        ii, jj = np.divmod(np.flatnonzero(np.triu(kept, k=1)), n_points)
     else:
         n_pairs = max(count * 200, 2000)
         ii = rng.integers(0, n_points, size=n_pairs)
@@ -250,6 +303,20 @@ def antipodal_candidates(
         raise NoCandidatesFound("no opposing point pair fits the jaw")
 
     midpoint = 0.5 * (points[ii] + points[jj])
+    # The midpoint sort fixes each group of equal midpoints; frames are built,
+    # and groups sorted by (rotation, width), only where a drawn rank falls.
+    by_midpoint = np.lexsort(midpoint.T[::-1])
+    ranks = np.arange(by_midpoint.size)
+    if ranks.size > count:
+        ranks = np.sort(rng.choice(ranks.size, size=count, replace=False))
+    tied = midpoint[by_midpoint]
+    group = np.cumsum(np.concatenate(([True], (tied[1:] != tied[:-1]).any(axis=1))))
+    drawn = np.zeros(group[-1] + 1, dtype=bool)
+    drawn[group[ranks]] = True
+    slots = np.flatnonzero(drawn[group])  # the ranks the drawn groups cover
+    pairs = by_midpoint[slots]
+    axis, midpoint, sep = axis[pairs], midpoint[pairs], sep[pairs]
+
     away = midpoint - centroid
     away = away - row_dot(away, axis)[:, None] * axis
     away_norm = np.sqrt(row_dot(away, away))
@@ -263,25 +330,14 @@ def antipodal_candidates(
         u = axis[near]
         basis = np.zeros_like(u)
         basis[np.arange(u.shape[0]), np.argmin(np.abs(u), axis=1)] = 1.0
-        perp = np.cross(u, basis)
+        perp = cross3(u, basis)
         approach[near] = perp / np.sqrt(row_dot(perp, perp))[:, None]
-    rotation = np.stack([axis, np.cross(approach, axis), approach], axis=2)
+    rotation = np.stack([axis, cross3(approach, axis), approach], axis=2)
 
-    # Canonical order: midpoint, then row-major rotation, then width.
-    keys = (sep, *rotation.reshape(-1, 9).T[::-1], *midpoint.T[::-1])
-    order = np.lexsort(keys)
-    if order.size > count:
-        order = order[np.sort(rng.choice(order.size, size=count, replace=False))]
-
+    order = np.lexsort((sep, *rotation.reshape(-1, 9).T[::-1], group[slots]))
+    chosen = order[np.searchsorted(slots, ranks)]
     # imagine_configuration validates every candidate, from any provider.
-    return [
-        GraspCandidate(
-            transform=RigidTransform(rotation[i], midpoint[i]),
-            width=float(sep[i]),
-            source="antipodal-sampler",
-        )
-        for i in order
-    ]
+    return CandidateSet(rotation[chosen], midpoint[chosen], sep[chosen], "antipodal-sampler")
 
 
 # --- candidate files --------------------------------------------------------------
@@ -297,8 +353,7 @@ def load_candidates(path) -> list[GraspCandidate]:
     if not isinstance(data, list):
         raise SchemaError("grasp file must contain a JSON array")
     out = []
-    for record in data:
-        candidate = GraspCandidate.from_dict(record)
-        candidate.validate()
-        out.append(candidate)
+    for k, record in enumerate(data):
+        out.append(GraspCandidate.from_dict(record))
+        out[-1].validate(k)
     return out

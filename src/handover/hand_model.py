@@ -218,21 +218,23 @@ def skin_vertices(template, weights, rest_joints, parents, rotations):
     parents = np.asarray(parents, dtype=int)
     rotations = np.asarray(rotations, dtype=float)
     n_joints = rest_joints.shape[0]
+    done = parents < 0
 
-    chain = np.zeros((n_joints, 4, 4))
-    relative = np.zeros((n_joints, 4, 4))
-    for k in range(n_joints):
-        local = np.eye(4)
-        local[:3, :3] = rotations[k]
-        if parents[k] < 0:
-            local[:3, 3] = rest_joints[k]
-            chain[k] = local
-        else:
-            local[:3, 3] = rest_joints[k] - rest_joints[parents[k]]
-            chain[k] = chain[parents[k]] @ local
-        offset = np.eye(4)
-        offset[:3, 3] = -rest_joints[k]
-        relative[k] = chain[k] @ offset
+    local = np.zeros((n_joints, 4, 4))
+    local[:, :3, :3] = rotations
+    local[:, :3, 3] = rest_joints - np.where(done[:, None], 0.0, rest_joints[parents])
+    local[:, 3, 3] = 1.0
+    # One stacked product per tree depth: the joints whose parents are done.
+    chain = local.copy()
+    while not done.all():
+        k = np.flatnonzero(~done & done[parents])
+        if k.size == 0:
+            raise ValueError("parents must form a forest with roots marked -1")
+        chain[k] = chain[parents[k]] @ local[k]
+        done[k] = True
+    offsets = np.tile(np.eye(4), (n_joints, 1, 1))
+    offsets[:, :3, 3] = -rest_joints
+    relative = chain @ offsets
 
     per_vertex = np.tensordot(weights, relative, axes=([1], [0]))  # (V, 4, 4)
     skinned = (

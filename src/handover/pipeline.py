@@ -42,6 +42,7 @@ from .geometry import (
 )
 from .grasp import (
     MAX_JAW_WIDTH_M,
+    CandidateSet,
     ClearanceResult,
     GraspCandidate,
     GripperGeometry,
@@ -138,7 +139,7 @@ class AntipodalGraspProvider:
     count: int = 16
     seed: int = 0
 
-    def __call__(self, task: TaskDescription, cloud: ObjectCloud):
+    def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> CandidateSet:
         return antipodal_candidates(
             cloud,
             max_width=self.max_width,
@@ -429,9 +430,11 @@ def imagine_configuration(
 ) -> HandoverConfiguration:
     """Assemble the full object-frame handover configuration.
 
-    Candidates are tried in score order; any that fail the clearance gate are
-    recorded and skipped. If every candidate collides, the per-candidate
-    minimum distances are attached to the error.
+    The provider's candidates are validated and scored as one stack (the
+    first bad one raises InvalidCandidate naming its index), then tried in
+    score order; any that fail the clearance gate are recorded and skipped.
+    If every candidate collides, the per-candidate minimum distances are
+    attached to the error.
     """
     hand_pose = hand_provider(task, cloud)
     if hand_pose is None:
@@ -441,31 +444,27 @@ def imagine_configuration(
             f"provider returned a {hand_pose.handedness} hand for a "
             f"{task.handedness}-handed task"
         )
-    candidates = list(grasp_provider(task, cloud) or ())
-    if not candidates:
+    candidates = grasp_provider(task, cloud) or ()
+    if not isinstance(candidates, CandidateSet):
+        candidates = list(candidates)
+    if len(candidates) == 0:
         raise ProviderEmpty("grasp provider returned no candidates")
-    for candidate in candidates:
-        candidate.validate()
+    stack = CandidateSet.of(candidates)
+    stack.validate()
 
     hand = lbs_forward(config.model_for(task.handedness), hand_pose)
-    ranked = rank_candidates(candidates, hand, config.selection)
+    ranked = rank_candidates(stack, hand, config.selection)
 
     fallbacks: list[dict] = []
-    chosen = None
     for index, score in ranked:
+        grasp = candidates[index]
         clearance = clearance_check(
-            candidates[index], config.gripper, hand, config.selection.clearance_margin
+            grasp, config.gripper, hand, config.selection.clearance_margin
         )
         if clearance.passed:
-            chosen = SelectionRecord(
-                selected_index=index,
-                score=score,
-                clearance=clearance,
-                fallbacks=tuple(fallbacks),
-            )
             break
         fallbacks.append({"index": index, "min_distance_m": clearance.min_distance})
-    if chosen is None:
+    else:
         raise AllCandidatesCollide([f["min_distance_m"] for f in fallbacks])
 
     config_out = HandoverConfiguration(
@@ -473,9 +472,9 @@ def imagine_configuration(
         cloud=cloud,
         hand_pose=hand_pose,
         hand=hand,
-        grasp=candidates[chosen.selected_index],
+        grasp=grasp,
         hand_frame=hand_frame_of(hand),
-        selection=chosen,
+        selection=SelectionRecord(index, score, clearance, tuple(fallbacks)),
         validation=ValidationReport(checks={}),
     )
     # validate against the margin that actually gated selection, so an

@@ -241,17 +241,6 @@ def receiving_pose_for(
     return HandPose(translation=wrist, pose=sample.pose.pose, handedness=handedness)
 
 
-def default_pose_library(clouds: dict[str, ObjectCloud]) -> dict:
-    """Canned-pose library JSON structure for the given clouds."""
-    return {
-        name: {
-            "left": receiving_pose_for(cloud, "left").to_dict(),
-            "right": receiving_pose_for(cloud, "right").to_dict(),
-        }
-        for name, cloud in clouds.items()
-    }
-
-
 # --- tool catalog -------------------------------------------------------------------
 
 def default_catalog() -> ToolCatalog:

@@ -9,6 +9,7 @@ or power grip.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,9 @@ def wrist_rotation(angles_deg) -> np.ndarray:
     return rot_x(ps) @ rot_y(fe) @ rot_z(ru)
 
 
+@functools.lru_cache(maxsize=len(GRIP_TYPES))
 def _grip_blocks(grip: str) -> np.ndarray:
+    """Read-only per-joint 6D blocks of a grip preset; callers copy them."""
     if grip not in GRIP_TYPES:
         raise ValueError(f"grip must be one of {GRIP_TYPES}, got {grip!r}")
     mcp, pip, dip = _GRIP_CURL_DEG[grip]
@@ -78,6 +81,7 @@ def _grip_blocks(grip: str) -> np.ndarray:
             # Fingers run along +x with the palm facing +z; curling toward
             # the palm is a negative rotation about y.
             blocks[joint] = matrix_to_rot6d(rot_y(-np.radians(curl * scale)))
+    blocks.setflags(write=False)
     return blocks
 
 
@@ -89,7 +93,7 @@ def sample_receiving_pose(
 ) -> WristSample:
     """One receiving pose; out-of-range wrist angles are clipped and flagged."""
     clipped_angles, clipped = ranges.clip(angles_deg)
-    blocks = _grip_blocks(grip)
+    blocks = _grip_blocks(grip).copy()
     blocks[0] = matrix_to_rot6d(wrist_rotation(clipped_angles))
     pose = HandPose(translation=np.zeros(3), pose=blocks, handedness=handedness)
     return WristSample(angles_deg=clipped_angles, grip=grip, clipped=clipped, pose=pose)

@@ -17,9 +17,6 @@ from handover.geometry import (
     matching_transform,
     matrix_to_rot6d,
     quat_to_matrix,
-    random_frame,
-    random_quaternion,
-    random_rotation,
     rot6d_to_matrix,
     rot_z,
     transform_pose,
@@ -57,6 +54,8 @@ from handover.pipeline import (
     validate_configuration,
 )
 from handover.wrist import WristRanges, enumerate_receiving_poses
+
+from helpers import random_frame, random_quaternion, random_rotation
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):

@@ -17,15 +17,13 @@ from handover.geometry import (
     quat_canonical,
     quat_multiply,
     quat_to_matrix,
-    random_frame,
-    random_quaternion,
-    random_rotation,
-    random_unit,
     rot6d_to_matrix,
     rot_x,
     rot_z,
     transform_pose,
 )
+
+from helpers import random_frame, random_quaternion, random_rotation, random_unit
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=32)
 vec3 = st.tuples(finite, finite, finite)
@@ -329,6 +327,27 @@ class TestFrozenArray:
     def test_non_numeric_raises_callers_type(self, value):
         with pytest.raises(_Wanted):
             frozen_array(value, (3,), _Wanted, "x")
+
+    @pytest.mark.parametrize(
+        "value",
+        ["12", "-0.38", b"1", ["1", "2", "3"], True, np.True_, [True, False, True],
+         np.array(["1", "2", "3"]), np.array([b"1", b"2", b"3"]), np.array([1, 0, 1], bool),
+         np.array([1.0, 2.0, 3.0], dtype=object), 10**30],
+        ids=["str", "str-float", "bytes", "str-list", "bool", "numpy-bool", "bool-list",
+             "str-array", "bytes-array", "bool-array", "object-array", "int-beyond-int64"],
+    )
+    def test_strings_booleans_and_objects_are_not_numbers(self, value):
+        shape = np.shape(value) if np.ndim(value) else ()
+        with pytest.raises(_Wanted, match="^x must hold numbers"):
+            frozen_array(value, shape, _Wanted, "x")
+        with pytest.raises(_Wanted, match="^x must hold numbers"):
+            frozen_array(value, shape, _Wanted, "x", int)
+
+    @pytest.mark.parametrize(
+        "value", [12, 12.0, np.int32(12), np.float32(12.0), np.uint8(12), [12], np.array([12])],
+    )
+    def test_numbers_of_any_numeric_type_are_read(self, value):
+        assert frozen_array(value, np.shape(value), _Wanted, "x", int).ravel().tolist() == [12]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_raises_callers_type(self, bad):

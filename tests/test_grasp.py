@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handover.cloud import ObjectCloud
 from handover.errors import (
@@ -11,9 +13,10 @@ from handover.errors import (
     NoCandidatesFound,
     SchemaError,
 )
-from handover.geometry import RigidTransform, random_rotation, rot_x
+from handover.geometry import RigidTransform, rot_x
 from handover.grasp import (
     MAX_JAW_WIDTH_M,
+    CandidateSet,
     GraspCandidate,
     GripperGeometry,
     SelectionConfig,
@@ -21,12 +24,22 @@ from handover.grasp import (
     clearance_check,
     gripper_center_and_direction,
     load_candidates,
+    rank_candidates,
     save_candidates,
     score_candidate,
     select_grasp,
 )
 from handover.hand_model import HandPose, geometric_center, hand_direction, lbs_forward
+from handover.intent import TaskDescription
+from handover.pipeline import (
+    AntipodalGraspProvider,
+    PipelineConfig,
+    ProceduralPoseProvider,
+    imagine_configuration,
+)
 from handover.synthetic import box_cloud, cylinder_cloud, synthetic_hand_params
+
+from helpers import random_rotation
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +179,219 @@ def _assert_matches_reference(cloud, count, seed, friction_half_angle=0.3):
     assert np.array_equal([c.transform.translation for c in out], [m for _, m, _ in expected])
     assert [c.width for c in out] == [w for _, _, w in expected]
     return len(expected)
+
+
+def _reference_validate_and_rank(candidates, hand, config):
+    """imagine_configuration's per-candidate validate loop, then the
+    score_candidate loop and tuple sort that rank_candidates was written as."""
+    for k, cand in enumerate(candidates):
+        if not np.isfinite(cand.width) or not (0.0 < cand.width <= MAX_JAW_WIDTH_M):
+            raise InvalidCandidate(
+                f"candidate {k}: jaw width {cand.width} m outside (0, {MAX_JAW_WIDTH_M}]"
+            )
+        r = cand.transform.rotation
+        if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-9 or abs(np.linalg.det(r) - 1) > 1e-9:
+            raise InvalidCandidate(f"candidate {k}: candidate rotation is not a proper rotation")
+    v_h = hand_direction(hand)
+    p_h = geometric_center(hand.vertices)
+    scored = []
+    for i, cand in enumerate(candidates):
+        p_g, v_g = gripper_center_and_direction(cand)
+        scored.append((i, score_candidate(v_g, p_g, v_h, p_h, config)))
+    scored.sort(key=lambda pair: (pair[1], pair[0]))
+    return scored
+
+
+def _stacked_validate_and_rank(candidates, hand, config):
+    stack = CandidateSet.of(candidates)
+    stack.validate()
+    return rank_candidates(stack, hand, config)
+
+
+def _outcome(rank, candidates, hand, config):
+    """The rank list, or the first error's type and message."""
+    try:
+        return rank(candidates, hand, config)
+    except InvalidCandidate as exc:
+        return type(exc), str(exc)
+
+
+def _random_candidates(rng):
+    """Up to 47 candidates; some have bad widths, improper or barely-off
+    rotations around the 1e-9 limits, or repeat an earlier candidate."""
+    bad_rate = rng.choice([0.0, 0.02, 0.2])
+    out = []
+    for _ in range(int(rng.integers(1, 48))):
+        if out and rng.uniform() < 0.1:
+            out.append(out[int(rng.integers(len(out)))])
+            continue
+        rotation = random_rotation(rng)
+        width = rng.uniform(0.001, MAX_JAW_WIDTH_M)
+        if rng.uniform() < bad_rate:
+            kind = int(rng.integers(4))
+            if kind == 0:
+                width = rng.choice([0.0, -0.01, 0.08, np.nan, np.inf, MAX_JAW_WIDTH_M + 1e-12])
+            elif kind == 1:
+                rotation = rotation @ np.diag([1.0, 1.0, -1.0])
+            else:
+                # ||R^T R - I|| and |det R - 1| cross 1e-9 near a stretch of 3e-10.
+                rotation = rotation * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-10.5, -8.5))
+        translation = rng.uniform(-0.5, 0.5, 3)
+        if rng.uniform() < 0.2:
+            translation = 0.1 * rng.integers(-3, 4, 3)  # equal distances, tied scores
+        out.append(_candidate(rotation, translation, width))
+    return out
+
+
+class TestStackedRanking:
+    """One array pass validates and scores the stack; the per-candidate loops
+    are its bitwise reference."""
+
+    def test_random_stacks_match_per_candidate_loops(self, rest_hand, right_params, rng):
+        posed = lbs_forward(
+            right_params,
+            HandPose(translation=rng.normal(size=3) * 0.1, pose=rng.normal(size=(16, 6))),
+        )
+        kinds = set()
+        for trial in range(600):
+            hand = (rest_hand, posed)[trial % 2]
+            config = SelectionConfig(
+                distance_weight=rng.uniform(0.0, 3.0),
+                cosine_mode=("signed", "absolute")[trial % 3 == 0],
+            )
+            candidates = _random_candidates(rng)
+            want = _outcome(_reference_validate_and_rank, candidates, hand, config)
+            got = _outcome(_stacked_validate_and_rank, candidates, hand, config)
+            assert got == want
+            kinds.add(want[1].split(": ")[1][:10] if isinstance(want, tuple) else "ranked")
+        assert kinds == {"ranked", "jaw width ", "candidate "}
+
+    def test_rank_lists_on_sampled_candidates(self, rest_hand):
+        for cloud in (cylinder_cloud(), box_cloud()):
+            for seed in range(8):
+                candidates = antipodal_candidates(cloud, seed=seed)
+                want = _reference_validate_and_rank(list(candidates), rest_hand, SelectionConfig())
+                assert rank_candidates(candidates, rest_hand, SelectionConfig()) == want
+
+    def test_ties_rank_by_index(self, rest_hand):
+        twin = _candidate(np.eye(3), (0.3, 0, 0))
+        other = _candidate(np.eye(3), (0.1, 0, 0))
+        ranked = rank_candidates([other, twin, twin, other, twin], rest_hand, SelectionConfig())
+        assert [i for i, _ in ranked] == [1, 2, 4, 0, 3]
+
+
+class TestCandidateSet:
+    def test_stacks_and_indexes_back(self, rng):
+        candidates = [
+            _candidate(random_rotation(rng), rng.uniform(-0.2, 0.2, 3), rng.uniform(0.01, 0.07),
+                       "file")
+            for _ in range(5)
+        ]
+        stack = CandidateSet.of(candidates)
+        assert CandidateSet.of(stack) is stack
+        assert len(stack) == 5
+        assert stack.rotations.shape == (5, 3, 3) and stack.translations.shape == (5, 3)
+        for arr in (stack.rotations, stack.translations, stack.widths):
+            assert not arr.flags.writeable
+        for k in (0, 3, -1):
+            one = stack[k]
+            assert isinstance(one, GraspCandidate)
+            assert np.array_equal(one.transform.as_matrix(), candidates[k].transform.as_matrix())
+            assert one.width == candidates[k].width and isinstance(one.width, float)
+            assert one.source == "external"
+        assert [c.width for c in stack] == [c.width for c in candidates]
+        with pytest.raises(IndexError):
+            stack[5]
+
+    def test_shapes_and_finiteness_are_checked(self):
+        good = (np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), [0.04, 0.05])
+        CandidateSet(*good)
+        bad_rotation = good[0].copy()
+        bad_rotation[1, 0, 0] = np.nan
+        for args in (
+            (good[0][:, :2], *good[1:]),
+            (good[0], np.zeros((3, 3)), good[2]),
+            (*good[:2], [0.04]),
+            (bad_rotation, *good[1:]),
+        ):
+            with pytest.raises(ValueError):
+                CandidateSet(*args)
+
+    def test_validate_names_the_first_bad_candidate(self):
+        rotations = np.tile(np.eye(3), (6, 1, 1))
+        rotations[2] = np.diag([1.0, 1.0, -1.0])
+        widths = [0.04, 0.04, 0.04, 0.04, 0.09, 0.04]
+        stack = CandidateSet(rotations, np.zeros((6, 3)), widths)
+        with pytest.raises(InvalidCandidate, match="^candidate 2: candidate rotation"):
+            stack.validate()
+        rotations[2] = np.eye(3)
+        with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
+            CandidateSet(rotations, np.zeros((6, 3)), widths).validate()
+        # One candidate with both faults: the width is reported, as the loop did.
+        rotations[4] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
+            CandidateSet(rotations, np.zeros((6, 3)), widths).validate()
+
+
+_PERMUTED_SOURCES = {
+    "cylinder": cylinder_cloud(rings=24, per_ring=40),  # 960 points
+    "box": box_cloud(per_edge=12),  # 864 points
+}
+_PIPELINE = PipelineConfig.default()
+
+
+def _jaw_aligned(reference, other):
+    """``other`` with each rotation's closing and middle columns negated where
+    its closing axis points against the reference's: the pair (i, j) is
+    enumerated as i < j, so the closing axis follows the point order."""
+    sign = np.sign(np.einsum("ki,ki->k", reference[:, :, 0], other[:, :, 0]))
+    return other * np.stack([sign, sign, np.ones_like(sign)], axis=1)[:, None, :]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_PERMUTED_SOURCES)),
+    size=st.integers(50, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permuted_tie_free_cloud_gives_the_same_candidates_and_grasp(shape, size, seed):
+    """Up to 256 points the sampler enumerates every pair, and a jittered
+    cloud has no tied midpoints, so the point order cannot change which
+    pairs are drawn. Midpoints and widths keep their bytes. The centroid
+    sums in another order, so frames agree to round-off, and the closing
+    axis may point the other way (see _jaw_aligned)."""
+    rng = np.random.default_rng(seed)
+    source = _PERMUTED_SOURCES[shape]
+    pick = rng.choice(len(source.points), size=size, replace=False)
+    points = source.points[pick] + rng.normal(scale=3e-4, size=(size, 3))
+    perm = rng.permutation(size)
+    clouds = [ObjectCloud(shape, p, n) for p, n in
+              ((points, source.normals[pick]), (points[perm], source.normals[pick][perm]))]
+    sample_seed = int(rng.integers(100))
+    try:
+        first = antipodal_candidates(clouds[0], seed=sample_seed)
+    except NoCandidatesFound:
+        with pytest.raises(NoCandidatesFound):
+            antipodal_candidates(clouds[1], seed=sample_seed)
+        return
+    second = antipodal_candidates(clouds[1], seed=sample_seed)
+    assert np.array_equal(first.translations, second.translations)
+    assert np.array_equal(first.widths, second.widths)
+    aligned = _jaw_aligned(first.rotations, second.rotations)
+    assert np.allclose(aligned, first.rotations, rtol=0.0, atol=1e-12)
+
+    task = TaskDescription(shape, "right")
+    chosen = [
+        imagine_configuration(task, cloud, ProceduralPoseProvider(),
+                              AntipodalGraspProvider(seed=sample_seed), _PIPELINE)
+        for cloud in clouds
+    ]
+    assert chosen[0].selection.selected_index == chosen[1].selection.selected_index
+    grasps = [c.grasp for c in chosen]
+    assert np.array_equal(grasps[0].transform.translation, grasps[1].transform.translation)
+    assert grasps[0].width == grasps[1].width
+    aligned = _jaw_aligned(grasps[0].transform.rotation[None], grasps[1].transform.rotation[None])
+    assert np.allclose(aligned[0], grasps[0].transform.rotation, rtol=0.0, atol=1e-12)
 
 
 class TestCenterAndDirection:
@@ -515,6 +741,19 @@ class TestCandidateFiles:
         path = tmp_path / "grasps.json"
         path.write_text(json.dumps([record]))
         with pytest.raises(InvalidCandidate, match="proper rotation"):
+            load_candidates(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"width_m": 0.08}, "jaw width 0.08 m"),
+         ({"matrix": np.diag([1.0, 1.0, -1.0, 1.0]).reshape(-1).tolist()}, "candidate rotation")],
+        ids=["overwide", "reflection"],
+    )
+    def test_bad_candidate_named_by_index(self, tmp_path, bad, message):
+        good = {"matrix": np.eye(4).reshape(-1).tolist(), "width_m": 0.04, "source": "file"}
+        path = tmp_path / "grasps.json"
+        path.write_text(json.dumps([good, good, {**good, **bad}, good, {**good, **bad}]))
+        with pytest.raises(InvalidCandidate, match=f"^candidate 2: {message}"):
             load_candidates(path)
 
     def test_malformed_record_rejected(self, tmp_path):

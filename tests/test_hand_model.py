@@ -11,7 +11,7 @@ from handover.errors import (
     ParallelAxes,
     SchemaError,
 )
-from handover.geometry import matrix_to_rot6d, random_rotation, rot6d_to_matrices, rot_z
+from handover.geometry import matrix_to_rot6d, rot6d_to_matrices, rot_z
 from handover.hand_model import (
     KEYPOINT_DRIVER,
     NUM_JOINTS,
@@ -35,6 +35,8 @@ from handover.hand_model import (
     save_hand_model,
     skin_vertices,
 )
+
+from helpers import random_rotation
 
 
 def _pose_with_root(rotation, handedness="right", translation=(0, 0, 0)):
@@ -243,6 +245,82 @@ class TestStackedDecode:
         assert str(got.value).startswith(f"joint {first}: ")
         assert type(got.value.__cause__) is type(want.value.__cause__)
         assert got.value.__cause__.block == first
+
+
+def _reference_skin(template, weights, rest_joints, parents, rotations):
+    """skin_vertices as the per-joint loop it was written as."""
+    n_joints = rest_joints.shape[0]
+    chain = np.zeros((n_joints, 4, 4))
+    relative = np.zeros((n_joints, 4, 4))
+    for k in range(n_joints):
+        local = np.eye(4)
+        local[:3, :3] = rotations[k]
+        if parents[k] < 0:
+            local[:3, 3] = rest_joints[k]
+            chain[k] = local
+        else:
+            local[:3, 3] = rest_joints[k] - rest_joints[parents[k]]
+            chain[k] = chain[parents[k]] @ local
+        offset = np.eye(4)
+        offset[:3, 3] = -rest_joints[k]
+        relative[k] = chain[k] @ offset
+    per_vertex = np.tensordot(weights, relative, axes=([1], [0]))
+    skinned = np.einsum("vij,vj->vi", per_vertex[:, :3, :3], template) + per_vertex[:, :3, 3]
+    return skinned, relative
+
+
+class TestDepthBatchedSkinning:
+    """skin_vertices composes the chain one tree depth at a time; the
+    per-joint loop above is its bitwise reference."""
+
+    def test_hand_rig_matches_per_joint_loop(self, right_params, left_params, rng):
+        for params in (right_params, left_params):
+            rest_joints = params.rest_keypoints[hand_model.SKELETON_KEYPOINT]
+            args = (params.template_vertices, params.skinning_weights, rest_joints,
+                    params.parents)
+            for _ in range(150):
+                blocks = rng.normal(size=(NUM_JOINTS, 6)) * 10.0 ** rng.uniform(-3, 2)
+                rotations = rot6d_to_matrices(blocks)
+                got = skin_vertices(*args, rotations)
+                want = _reference_skin(*args, rotations)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_random_forests_match_per_joint_loop(self, rng):
+        """Deep chains, wide fans and several roots, parents before children."""
+        for _ in range(60):
+            n_joints = int(rng.integers(1, 24))
+            parents = np.array(
+                [-1 if k == 0 or rng.uniform() < 0.1 else int(rng.integers(max(0, k - 3), k))
+                 for k in range(n_joints)]
+            )
+            weights = rng.uniform(size=(40, n_joints))
+            args = (rng.normal(size=(40, 3)), weights / weights.sum(axis=1, keepdims=True),
+                    rng.normal(size=(n_joints, 3)), parents,
+                    np.array([random_rotation(rng) for _ in range(n_joints)]))
+            got = skin_vertices(*args)
+            want = _reference_skin(*args)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_parent_cycle_raises_instead_of_looping(self):
+        rotations = np.tile(np.eye(3), (3, 1, 1))
+        with pytest.raises(ValueError, match="forest"):
+            skin_vertices(np.zeros((2, 3)), np.full((2, 3), 1 / 3), np.zeros((3, 3)),
+                          np.array([-1, 2, 1]), rotations)
+
+    def test_lbs_forward_matches_per_joint_loop(self, right_params, rng, monkeypatch):
+        poses = [
+            HandPose(translation=rng.normal(size=3) * 0.1,
+                     pose=rng.normal(size=(NUM_JOINTS, 6)))
+            for _ in range(50)
+        ]
+        batched = [lbs_forward(right_params, pose) for pose in poses]
+        monkeypatch.setattr(hand_model, "skin_vertices", _reference_skin)
+        for pose, got in zip(poses, batched):
+            want = lbs_forward(right_params, pose)
+            assert np.array_equal(got.vertices, want.vertices)
+            assert np.array_equal(got.joints, want.joints)
 
 
 def rest_pose_blocks():

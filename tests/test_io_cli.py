@@ -25,6 +25,8 @@ from handover.io_formats import (
     write_obj,
 )
 
+from helpers import default_pose_library
+
 ASCII_PLY = """ply
 format ascii 1.0
 comment three points
@@ -563,7 +565,7 @@ def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
     save_corpus(synthetic.sample_corpus(catalog), root / "corpus.json")
     (root / "task.json").write_text(json.dumps({"object": "cylinder", "hand": "right"}))
     (root / "kp.json").write_text(json.dumps(cylinder_config.hand.joints.tolist()))
-    (root / "poses.json").write_text(json.dumps(synthetic.default_pose_library({"cylinder": cloud})))
+    (root / "poses.json").write_text(json.dumps(default_pose_library({"cylinder": cloud})))
     save_candidates([cylinder_config.grasp], root / "grasps.json")
     save_hand_model(right_params, root / "hand.json")
     pipeline.save_configuration(cylinder_config, root / "config.json")
@@ -771,6 +773,22 @@ _POSE = ("cylinder", "right", "pose")
                      id="ply-normal-inf"),
         pytest.param("--task", _edited("task.json", ("object",), 5),
                      id="task-object-not-string"),
+        pytest.param("--config", _edited("config.json", ("selection", "selected_index"), "12"),
+                     id="record-selected-index-string"),
+        pytest.param("--config", _edited("config.json", ("selection", "score"), "-0.38"),
+                     id="record-score-string"),
+        pytest.param("--config", _edited("config.json", ("selection", "score"), True),
+                     id="record-score-bool"),
+        pytest.param("--config", _edited("config.json", ("hand_frame", "center"), ["1", "2", "3"]),
+                     id="record-center-strings"),
+        pytest.param("--config", _edited("config.json", ("grasp", "width_m"), "0.04"),
+                     id="record-width-string"),
+        pytest.param("--grasps", _edited("grasps.json", (0, "width_m"), "0.04"),
+                     id="grasp-width-string"),
+        pytest.param("--grasps", _edited("grasps.json", (0, "width_m"), True),
+                     id="grasp-width-bool"),
+        pytest.param("--grasps", _edited("grasps.json", (0, "matrix", 3), str),
+                     id="grasp-matrix-string"),
     ],
 )
 def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):
