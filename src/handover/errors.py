@@ -56,7 +56,7 @@ class AmbiguousHandedness(HandoverError):
 # --- grasp selection ---------------------------------------------------------
 
 class EmptyCandidateSet(HandoverError):
-    """select_grasp called with no candidates."""
+    """rank_candidates called with no candidates."""
 
 
 class NoCandidatesFound(HandoverError):

@@ -34,12 +34,15 @@ def frozen_array(
 
     A None in ``shape`` accepts any length on that axis. Input that is not
     numeric raises ``error`` too, and so does a fraction for an int ``dtype``.
-    Strings, bytes and booleans are not numbers here, even "12" or True.
+    Strings, bytes and booleans are not numbers here, even "12" or True, also
+    inside a list such as [0.5, True].
     """
     try:
         arr = value if isinstance(value, np.ndarray) else np.array(value)
         if arr.dtype.kind not in "fiu":
             raise TypeError(f"got {arr.dtype} values")
+        if arr is not value and arr.ndim and _holds_bool(value):
+            raise TypeError("got a boolean")
         arr = np.array(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{name} must hold numbers: {exc}") from exc
@@ -56,6 +59,12 @@ def frozen_array(
         arr = whole
     arr.setflags(write=False)
     return arr
+
+
+def _holds_bool(value) -> bool:
+    """Whether nested lists hold a boolean, which numpy reads as 0 or 1 beside
+    numbers."""
+    return not set(map(type, np.array(value, dtype=object).flat)).isdisjoint((bool, np.bool_))
 
 
 def _vec3(value, name: str = "vector") -> np.ndarray:
@@ -279,9 +288,6 @@ ROT6D_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 # --- quaternions (Hamilton, scalar-first) -------------------------------------
-
-QUAT_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
 
 def _as_unit_quat(q) -> np.ndarray:
     arr = np.asarray(q, dtype=float).reshape(-1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,10 +47,6 @@ class GraspCandidate:
     width: float
     source: str = "external"
 
-    def validate(self, index: int = 0) -> None:
-        """InvalidCandidate, naming ``index``, for a bad width or rotation."""
-        CandidateSet.of([self]).validate(index)
-
     def to_dict(self) -> dict:
         return {
             "matrix": self.transform.as_matrix().reshape(-1).tolist(),
@@ -62,8 +57,9 @@ class GraspCandidate:
     @classmethod
     def from_dict(cls, data: dict) -> "GraspCandidate":
         with reading("grasp record"):
+            matrix = frozen_array(data["matrix"], (16,), ValueError, "matrix")
             return cls(
-                transform=RigidTransform.from_matrix(np.reshape(data["matrix"], (4, 4))),
+                transform=RigidTransform.from_matrix(matrix.reshape(4, 4)),
                 width=float(frozen_array(data["width_m"], (), SchemaError, "grasp.width_m")),
                 source=str(data.get("source", "file")),
             )
@@ -71,14 +67,14 @@ class GraspCandidate:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """K candidates as stacked arrays with one source tag; ``candidates[k]``
-    builds candidate k. Rotations and translations must be finite; ``validate``
-    judges the widths and rotations."""
+    """K candidates as stacked arrays with one source tag per row;
+    ``candidates[k]`` builds candidate k. Rotations and translations must be
+    finite; ``validate`` judges the widths and rotations."""
 
     rotations: np.ndarray  # (K, 3, 3)
     translations: np.ndarray  # (K, 3)
     widths: np.ndarray  # (K,)
-    source: str = "external"
+    sources: tuple[str, ...]  # (K,)
 
     def __post_init__(self):
         widths = np.array(self.widths, dtype=float).reshape(-1)
@@ -87,28 +83,20 @@ class CandidateSet:
         for name, shape in (("rotations", (3, 3)), ("translations", (3,))):
             value = frozen_array(getattr(self, name), (len(widths), *shape), ValueError, name)
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def of(cls, candidates: Sequence[GraspCandidate]) -> "CandidateSet":
-        """The candidates stacked; a CandidateSet is returned as it is."""
-        if isinstance(candidates, CandidateSet):
-            return candidates
-        return cls(
-            np.array([c.transform.rotation for c in candidates]).reshape(-1, 3, 3),
-            np.array([c.transform.translation for c in candidates]).reshape(-1, 3),
-            [c.width for c in candidates],
-        )
+        object.__setattr__(self, "sources", tuple(self.sources))
+        if len(self.sources) != len(widths):
+            raise ValueError(f"sources must hold {len(widths)} tags, got {len(self.sources)}")
 
     def __len__(self) -> int:
         return len(self.widths)
 
     def __getitem__(self, k) -> GraspCandidate:
         transform = RigidTransform(self.rotations[k], self.translations[k])
-        return GraspCandidate(transform, float(self.widths[k]), self.source)
+        return GraspCandidate(transform, float(self.widths[k]), self.sources[k])
 
-    def validate(self, first: int = 0) -> None:
-        """InvalidCandidate naming the first bad candidate, counted from ``first``:
-        a width outside (0, MAX_JAW_WIDTH_M], else ||R^T R - I||_F or |det R - 1| > 1e-9."""
+    def validate(self) -> None:
+        """InvalidCandidate naming the first bad candidate's index: a width
+        outside (0, MAX_JAW_WIDTH_M], else ||R^T R - I||_F or |det R - 1| > 1e-9."""
         bad_width = ~((self.widths > 0.0) & (self.widths <= MAX_JAW_WIDTH_M))
         r = self.rotations
         gram = (np.swapaxes(r, 1, 2) @ r - np.eye(3)).reshape(-1, 9)
@@ -120,7 +108,7 @@ class CandidateSet:
                 why = f"jaw width {self.widths[k]} m outside (0, {MAX_JAW_WIDTH_M}]"
             else:
                 why = "candidate rotation is not a proper rotation"
-            raise InvalidCandidate(f"candidate {first + k}: {why}")
+            raise InvalidCandidate(f"candidate {k}: {why}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +163,6 @@ class GripperGeometry:
         return GripperGeometry(np.array(centers), np.array(radii))
 
 
-def gripper_center_and_direction(candidate: GraspCandidate):
-    """(grasp center, approach axis): translation and third rotation column."""
-    return candidate.transform.translation, candidate.transform.rotation[:, 2]
-
-
 def score_candidate(v_g, p_g, v_h, p_h, config: SelectionConfig) -> float:
     """Scalar score; lower is better under the argmin selection rule."""
     cos = float(np.dot(v_g, v_h))
@@ -188,36 +171,21 @@ def score_candidate(v_g, p_g, v_h, p_h, config: SelectionConfig) -> float:
     return cos - config.distance_weight * float(np.linalg.norm(np.asarray(p_g) - np.asarray(p_h)))
 
 
-class GraspSelection(NamedTuple):
-    index: int
-    candidate: GraspCandidate
-    score: float
-
-
-def rank_candidates(
-    candidates: Sequence[GraspCandidate], hand: PosedHand, config: SelectionConfig
-):
-    """(index, score) pairs sorted best (lowest score) first, stable on ties.
-    One array pass; each score is bitwise what score_candidate gives."""
+def rank_candidates(candidates: CandidateSet, hand: PosedHand, config: SelectionConfig):
+    """(index, score) pairs sorted best (lowest score) first, stable on ties, so
+    the first pair is the argmin. One array pass; each score is bitwise what
+    score_candidate gives for the approach axis (third rotation column) and
+    the grasp center (translation)."""
     if len(candidates) == 0:
         raise EmptyCandidateSet("no grasp candidates to rank")
-    stack = CandidateSet.of(candidates)
-    v_g = stack.rotations[:, :, 2]
+    v_g = candidates.rotations[:, :, 2]
     cos = row_dot(v_g, np.broadcast_to(hand_direction(hand), v_g.shape))
     if config.cosine_mode == "absolute":
         cos = np.abs(cos)
-    offset = stack.translations - geometric_center(hand.vertices)
+    offset = candidates.translations - geometric_center(hand.vertices)
     scores = cos - config.distance_weight * np.sqrt(row_dot(offset, offset))
     order = np.argsort(scores, kind="stable")
     return list(zip(order.tolist(), scores[order].tolist()))
-
-
-def select_grasp(
-    candidates: Sequence[GraspCandidate], hand: PosedHand, config: SelectionConfig
-) -> GraspSelection:
-    """Argmin of score_candidate over the set; ties break to the lowest index."""
-    index, score = rank_candidates(candidates, hand, config)[0]
-    return GraspSelection(index, candidates[index], score)
 
 
 @dataclass(frozen=True)
@@ -337,23 +305,29 @@ def antipodal_candidates(
     order = np.lexsort((sep, *rotation.reshape(-1, 9).T[::-1], group[slots]))
     chosen = order[np.searchsorted(slots, ranks)]
     # imagine_configuration validates every candidate, from any provider.
-    return CandidateSet(rotation[chosen], midpoint[chosen], sep[chosen], "antipodal-sampler")
+    sources = ("antipodal-sampler",) * chosen.size
+    return CandidateSet(rotation[chosen], midpoint[chosen], sep[chosen], sources)
 
 
 # --- candidate files --------------------------------------------------------------
 
-def save_candidates(candidates: Sequence[GraspCandidate], path) -> None:
+def save_candidates(candidates: CandidateSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([c.to_dict() for c in candidates], fh, sort_keys=True)
 
 
-def load_candidates(path) -> list[GraspCandidate]:
-    """Load candidates from a JSON array; width/rotation limits are enforced."""
+def load_candidates(path) -> CandidateSet:
+    """Every record of a JSON array parsed, then the stack validated at once:
+    a malformed record is a SchemaError before any width or rotation check."""
     data = load_json_file(path)
     if not isinstance(data, list):
         raise SchemaError("grasp file must contain a JSON array")
-    out = []
-    for k, record in enumerate(data):
-        out.append(GraspCandidate.from_dict(record))
-        out[-1].validate(k)
-    return out
+    records = [GraspCandidate.from_dict(record) for record in data]
+    candidates = CandidateSet(
+        np.array([g.transform.rotation for g in records]).reshape(-1, 3, 3),
+        np.array([g.transform.translation for g in records]).reshape(-1, 3),
+        [g.width for g in records],
+        [g.source for g in records],
+    )
+    candidates.validate()
+    return candidates

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -84,9 +84,7 @@ class ReceivingHandProvider(Protocol):
 
 
 class GraspCandidateProvider(Protocol):
-    def __call__(
-        self, task: TaskDescription, cloud: ObjectCloud
-    ) -> Sequence[GraspCandidate]: ...
+    def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> CandidateSet: ...
 
 
 @dataclass(frozen=True)
@@ -151,15 +149,15 @@ class AntipodalGraspProvider:
 
 @dataclass(frozen=True)
 class StaticGraspProvider:
-    """Fixed candidate list (e.g. loaded from a file)."""
+    """Fixed candidate set (e.g. loaded from a file)."""
 
-    candidates: tuple[GraspCandidate, ...]
+    candidates: CandidateSet
 
     @classmethod
     def from_file(cls, path) -> "StaticGraspProvider":
-        return cls(candidates=tuple(load_candidates(path)))
+        return cls(candidates=load_candidates(path))
 
-    def __call__(self, task: TaskDescription, cloud: ObjectCloud):
+    def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> CandidateSet:
         return self.candidates
 
 
@@ -444,16 +442,13 @@ def imagine_configuration(
             f"provider returned a {hand_pose.handedness} hand for a "
             f"{task.handedness}-handed task"
         )
-    candidates = grasp_provider(task, cloud) or ()
-    if not isinstance(candidates, CandidateSet):
-        candidates = list(candidates)
-    if len(candidates) == 0:
+    candidates = grasp_provider(task, cloud)
+    if candidates is None or len(candidates) == 0:
         raise ProviderEmpty("grasp provider returned no candidates")
-    stack = CandidateSet.of(candidates)
-    stack.validate()
+    candidates.validate()
 
     hand = lbs_forward(config.model_for(task.handedness), hand_pose)
-    ranked = rank_candidates(stack, hand, config.selection)
+    ranked = rank_candidates(candidates, hand, config.selection)
 
     fallbacks: list[dict] = []
     for index, score in ranked:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from handover.geometry import HandFrame, build_frame, quat_canonical, quat_to_matrix
+from handover.grasp import CandidateSet
 from handover.synthetic import receiving_pose_for
 
 
@@ -41,3 +42,13 @@ def default_pose_library(clouds: dict) -> dict:
         }
         for name, cloud in clouds.items()
     }
+
+
+def candidate_set(candidates) -> CandidateSet:
+    """GraspCandidates stacked into one CandidateSet, each keeping its source."""
+    return CandidateSet(
+        np.array([c.transform.rotation for c in candidates]).reshape(-1, 3, 3),
+        np.array([c.transform.translation for c in candidates]).reshape(-1, 3),
+        [c.width for c in candidates],
+        [c.source for c in candidates],
+    )

@@ -27,9 +27,8 @@ from handover.grasp import (
     GripperGeometry,
     SelectionConfig,
     clearance_check,
-    gripper_center_and_direction,
     load_candidates,
-    select_grasp,
+    rank_candidates,
 )
 from handover.hand_model import (
     HandPose,
@@ -55,7 +54,7 @@ from handover.pipeline import (
 )
 from handover.wrist import WristRanges, enumerate_receiving_poses
 
-from helpers import random_frame, random_quaternion, random_rotation
+from helpers import candidate_set, random_frame, random_quaternion, random_rotation
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -227,15 +226,15 @@ def test_06_grasp_selection(right_params):
         mode = ("signed", "absolute")[int(rng.integers(2))]
         cfg = SelectionConfig(cosine_mode=mode, distance_weight=float(rng.uniform(0.2, 2.0)))
         candidates = [_random_candidate(rng) for _ in range(n)]
-        selection = select_grasp(candidates, hand, cfg)
+        index, _ = rank_candidates(candidate_set(candidates), hand, cfg)[0]
         scores = []
         for cand in candidates:
-            p_g, v_g = gripper_center_and_direction(cand)
+            p_g, v_g = cand.transform.translation, cand.transform.rotation[:, 2]
             cos = float(v_g @ v_h)
             if mode == "absolute":
                 cos = abs(cos)
             scores.append(cos - cfg.distance_weight * float(np.linalg.norm(p_g - p_h)))
-        if selection.index != int(np.argmin(scores)):
+        if index != int(np.argmin(scores)):
             mismatches += 1
 
     def at_angle(angle_deg):
@@ -251,9 +250,9 @@ def test_06_grasp_selection(right_params):
             RigidTransform(rotation, p_h + 0.2 * np.array([1.0, 0, 0])), 0.05
         )
 
-    fixture = [at_angle(170.0), at_angle(90.0)]
-    signed_pick = select_grasp(fixture, hand, SelectionConfig(cosine_mode="signed")).index
-    absolute_pick = select_grasp(fixture, hand, SelectionConfig(cosine_mode="absolute")).index
+    fixture = candidate_set([at_angle(170.0), at_angle(90.0)])
+    signed_pick = rank_candidates(fixture, hand, SelectionConfig(cosine_mode="signed"))[0][0]
+    absolute_pick = rank_candidates(fixture, hand, SelectionConfig(cosine_mode="absolute"))[0][0]
     divergence_ok = signed_pick == 0 and absolute_pick == 1
 
     ok = mismatches == 0 and divergence_ok

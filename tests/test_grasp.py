@@ -22,12 +22,10 @@ from handover.grasp import (
     SelectionConfig,
     antipodal_candidates,
     clearance_check,
-    gripper_center_and_direction,
     load_candidates,
     rank_candidates,
     save_candidates,
     score_candidate,
-    select_grasp,
 )
 from handover.hand_model import HandPose, geometric_center, hand_direction, lbs_forward
 from handover.intent import TaskDescription
@@ -39,7 +37,7 @@ from handover.pipeline import (
 )
 from handover.synthetic import box_cloud, cylinder_cloud, synthetic_hand_params
 
-from helpers import random_rotation
+from helpers import candidate_set, random_rotation
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +173,9 @@ def _assert_matches_reference(cloud, count, seed, friction_half_angle=0.3):
     )
     assert len(out) == len(expected)
     # Whole stacks at once: np.array_equal is still exact, entry by entry.
-    assert np.array_equal([c.transform.rotation for c in out], [r for r, _, _ in expected])
-    assert np.array_equal([c.transform.translation for c in out], [m for _, m, _ in expected])
-    assert [c.width for c in out] == [w for _, _, w in expected]
+    assert np.array_equal(out.rotations, [r for r, _, _ in expected])
+    assert np.array_equal(out.translations, [m for _, m, _ in expected])
+    assert out.widths.tolist() == [w for _, _, w in expected]
     return len(expected)
 
 
@@ -196,14 +194,14 @@ def _reference_validate_and_rank(candidates, hand, config):
     p_h = geometric_center(hand.vertices)
     scored = []
     for i, cand in enumerate(candidates):
-        p_g, v_g = gripper_center_and_direction(cand)
+        p_g, v_g = cand.transform.translation, cand.transform.rotation[:, 2]
         scored.append((i, score_candidate(v_g, p_g, v_h, p_h, config)))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
     return scored
 
 
 def _stacked_validate_and_rank(candidates, hand, config):
-    stack = CandidateSet.of(candidates)
+    stack = candidate_set(candidates)
     stack.validate()
     return rank_candidates(stack, hand, config)
 
@@ -276,43 +274,44 @@ class TestStackedRanking:
     def test_ties_rank_by_index(self, rest_hand):
         twin = _candidate(np.eye(3), (0.3, 0, 0))
         other = _candidate(np.eye(3), (0.1, 0, 0))
-        ranked = rank_candidates([other, twin, twin, other, twin], rest_hand, SelectionConfig())
+        stack = candidate_set([other, twin, twin, other, twin])
+        ranked = rank_candidates(stack, rest_hand, SelectionConfig())
         assert [i for i, _ in ranked] == [1, 2, 4, 0, 3]
 
 
 class TestCandidateSet:
     def test_stacks_and_indexes_back(self, rng):
-        candidates = [
-            _candidate(random_rotation(rng), rng.uniform(-0.2, 0.2, 3), rng.uniform(0.01, 0.07),
-                       "file")
-            for _ in range(5)
-        ]
-        stack = CandidateSet.of(candidates)
-        assert CandidateSet.of(stack) is stack
+        rotations = np.array([random_rotation(rng) for _ in range(5)])
+        translations = rng.uniform(-0.2, 0.2, (5, 3))
+        widths = rng.uniform(0.01, 0.07, 5)
+        sources = [f"file-{k}" for k in range(5)]
+        stack = CandidateSet(rotations, translations, widths, sources)
         assert len(stack) == 5
-        assert stack.rotations.shape == (5, 3, 3) and stack.translations.shape == (5, 3)
+        assert stack.sources == tuple(sources)
         for arr in (stack.rotations, stack.translations, stack.widths):
             assert not arr.flags.writeable
         for k in (0, 3, -1):
             one = stack[k]
             assert isinstance(one, GraspCandidate)
-            assert np.array_equal(one.transform.as_matrix(), candidates[k].transform.as_matrix())
-            assert one.width == candidates[k].width and isinstance(one.width, float)
-            assert one.source == "external"
-        assert [c.width for c in stack] == [c.width for c in candidates]
+            assert np.array_equal(one.transform.rotation, rotations[k])
+            assert np.array_equal(one.transform.translation, translations[k])
+            assert one.width == widths[k] and isinstance(one.width, float)
+            assert one.source == sources[k]
+        assert [c.width for c in stack] == widths.tolist()
         with pytest.raises(IndexError):
             stack[5]
 
     def test_shapes_and_finiteness_are_checked(self):
-        good = (np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), [0.04, 0.05])
+        good = (np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), [0.04, 0.05], ["a", "b"])
         CandidateSet(*good)
         bad_rotation = good[0].copy()
         bad_rotation[1, 0, 0] = np.nan
         for args in (
             (good[0][:, :2], *good[1:]),
-            (good[0], np.zeros((3, 3)), good[2]),
-            (*good[:2], [0.04]),
+            (good[0], np.zeros((3, 3)), *good[2:]),
+            (*good[:2], [0.04], good[3]),
             (bad_rotation, *good[1:]),
+            (*good[:3], ["a"]),
         ):
             with pytest.raises(ValueError):
                 CandidateSet(*args)
@@ -321,16 +320,17 @@ class TestCandidateSet:
         rotations = np.tile(np.eye(3), (6, 1, 1))
         rotations[2] = np.diag([1.0, 1.0, -1.0])
         widths = [0.04, 0.04, 0.04, 0.04, 0.09, 0.04]
-        stack = CandidateSet(rotations, np.zeros((6, 3)), widths)
+        sources = ["external"] * 6
+        stack = CandidateSet(rotations, np.zeros((6, 3)), widths, sources)
         with pytest.raises(InvalidCandidate, match="^candidate 2: candidate rotation"):
             stack.validate()
         rotations[2] = np.eye(3)
         with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
-            CandidateSet(rotations, np.zeros((6, 3)), widths).validate()
+            CandidateSet(rotations, np.zeros((6, 3)), widths, sources).validate()
         # One candidate with both faults: the width is reported, as the loop did.
         rotations[4] = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
-            CandidateSet(rotations, np.zeros((6, 3)), widths).validate()
+            CandidateSet(rotations, np.zeros((6, 3)), widths, sources).validate()
 
 
 _PERMUTED_SOURCES = {
@@ -394,25 +394,34 @@ def test_permuted_tie_free_cloud_gives_the_same_candidates_and_grasp(shape, size
     assert np.allclose(aligned[0], grasps[0].transform.rotation, rtol=0.0, atol=1e-12)
 
 
+def _rank_score(candidate, hand):
+    """The score rank_candidates gives one candidate."""
+    return rank_candidates(candidate_set([candidate]), hand, SelectionConfig())[0][1]
+
+
 class TestCenterAndDirection:
-    def test_identity(self):
-        p_g, v_g = gripper_center_and_direction(_candidate(np.eye(3), (0, 0, 0)))
-        assert np.allclose(p_g, 0.0)
-        assert np.allclose(v_g, (0, 0, 1))
+    """rank_candidates reads the grasp center as the translation and the
+    approach axis as the third rotation column."""
 
-    def test_x_quarter_turn(self):
-        p_g, v_g = gripper_center_and_direction(
-            _candidate(rot_x(np.pi / 2), (0.1, 0, 0))
-        )
-        assert np.allclose(p_g, (0.1, 0, 0))
-        assert np.allclose(v_g, (0, -1, 0), atol=1e-12)
+    def _assert_scored_as(self, candidate, hand, p_g, v_g):
+        v_h, p_h = hand_direction(hand), geometric_center(hand.vertices)
+        want = score_candidate(v_g, p_g, v_h, p_h, SelectionConfig())
+        assert _rank_score(candidate, hand) == pytest.approx(want, abs=1e-12)
 
-    def test_random_is_third_column_and_unit(self, rng):
+    def test_identity(self, rest_hand):
+        self._assert_scored_as(_candidate(np.eye(3), (0, 0, 0)), rest_hand, (0, 0, 0), (0, 0, 1))
+
+    def test_x_quarter_turn(self, rest_hand):
+        cand = _candidate(rot_x(np.pi / 2), (0.1, 0, 0))
+        self._assert_scored_as(cand, rest_hand, (0.1, 0, 0), (0, -1, 0))
+
+    def test_random_is_third_column_and_unit(self, rest_hand, rng):
         for _ in range(100):
             r = random_rotation(rng)
-            _, v_g = gripper_center_and_direction(_candidate(r, rng.uniform(-1, 1, 3)))
-            assert np.allclose(v_g, r @ np.array([0.0, 0.0, 1.0]), atol=1e-12)
+            v_g = r @ np.array([0.0, 0.0, 1.0])
             assert abs(np.linalg.norm(v_g) - 1.0) <= 1e-12
+            translation = rng.uniform(-1, 1, 3)
+            self._assert_scored_as(_candidate(r, translation), rest_hand, translation, v_g)
 
 
 class TestScore:
@@ -450,6 +459,11 @@ class TestScore:
             SelectionConfig(clearance_margin=0.0)
 
 
+def _select(candidates, hand, config):
+    """(index, score) of the best candidate: the first pair rank_candidates gives."""
+    return rank_candidates(candidate_set(candidates), hand, config)[0]
+
+
 class TestSelect:
     def test_mode_divergence_on_170_vs_90(self, rest_hand):
         """Equidistant candidates at 170 and 90 degrees to the hand direction
@@ -464,20 +478,18 @@ class TestSelect:
             _candidate_with_approach(deg170, offset),
             _candidate_with_approach(deg90, offset),
         ]
-        signed = select_grasp(candidates, rest_hand, SelectionConfig(cosine_mode="signed"))
-        absolute = select_grasp(candidates, rest_hand, SelectionConfig(cosine_mode="absolute"))
-        assert signed.index == 0
-        assert absolute.index == 1
+        signed, _ = _select(candidates, rest_hand, SelectionConfig(cosine_mode="signed"))
+        absolute, _ = _select(candidates, rest_hand, SelectionConfig(cosine_mode="absolute"))
+        assert signed == 0
+        assert absolute == 1
 
     def test_single_candidate(self, rest_hand):
         only = _candidate(np.eye(3), (0.3, 0, 0))
-        selection = select_grasp([only], rest_hand, SelectionConfig())
-        assert selection.index == 0
-        assert selection.candidate is only
+        assert _select([only], rest_hand, SelectionConfig()) == (0, _rank_score(only, rest_hand))
 
     def test_empty_set_raises(self, rest_hand):
         with pytest.raises(EmptyCandidateSet):
-            select_grasp([], rest_hand, SelectionConfig())
+            _select([], rest_hand, SelectionConfig())
 
     def test_matches_brute_force_oracle(self, rest_hand, rng):
         v_h = hand_direction(rest_hand)
@@ -490,22 +502,22 @@ class TestSelect:
                     _candidate(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
                     for _ in range(n)
                 ]
-                selection = select_grasp(candidates, rest_hand, cfg)
+                index, score = _select(candidates, rest_hand, cfg)
                 scores = []
                 for cand in candidates:
-                    p_g, v_g = gripper_center_and_direction(cand)
+                    p_g, v_g = cand.transform.translation, cand.transform.rotation[:, 2]
                     cos = float(v_g @ v_h)
                     if mode == "absolute":
                         cos = abs(cos)
                     scores.append(cos - cfg.distance_weight * np.linalg.norm(p_g - p_h))
                 oracle = int(np.argmin(scores))
-                assert selection.index == oracle
-                assert selection.score == pytest.approx(scores[oracle], abs=1e-12)
+                assert index == oracle
+                assert score == pytest.approx(scores[oracle], abs=1e-12)
 
     def test_ties_break_to_lowest_index(self, rest_hand):
         a = _candidate(np.eye(3), (0.3, 0, 0))
         b = _candidate(np.eye(3), (0.3, 0, 0))
-        assert select_grasp([a, b], rest_hand, SelectionConfig()).index == 0
+        assert _select([a, b], rest_hand, SelectionConfig())[0] == 0
 
     def test_argmin_invariant_under_rigid_shift(self, rest_hand, rng):
         """Translating hand and candidates together preserves the winner."""
@@ -513,7 +525,7 @@ class TestSelect:
             _candidate(random_rotation(rng), rng.uniform(-0.5, 0.5, 3)) for _ in range(16)
         ]
         cfg = SelectionConfig()
-        baseline = select_grasp(candidates, rest_hand, cfg).index
+        baseline, _ = _select(candidates, rest_hand, cfg)
         shift = np.array([0.3, -0.2, 0.5])
         from handover.hand_model import PosedHand
 
@@ -530,7 +542,7 @@ class TestSelect:
             )
             for c in candidates
         ]
-        assert select_grasp(moved, moved_hand, cfg).index == baseline
+        assert _select(moved, moved_hand, cfg)[0] == baseline
 
 
 class TestClearance:
@@ -682,8 +694,9 @@ class TestAntipodal:
     def test_different_seed_may_differ_but_all_valid(self):
         cloud = box_cloud()
         for seed in (0, 1, 2):
-            for cand in antipodal_candidates(cloud, count=4, seed=seed):
-                cand.validate()
+            candidates = antipodal_candidates(cloud, count=4, seed=seed)
+            candidates.validate()
+            for cand in candidates:
                 r = cand.transform.rotation
                 assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-9
 
@@ -709,16 +722,17 @@ class TestAntipodal:
 class TestCandidateFiles:
     def test_round_trip(self, tmp_path, rng):
         candidates = [
-            _candidate(random_rotation(rng), rng.uniform(-0.2, 0.2, 3), width=0.05)
-            for _ in range(5)
+            _candidate(random_rotation(rng), rng.uniform(-0.2, 0.2, 3), 0.05, f"camera-{k % 3}")
+            for k in range(5)
         ]
         path = tmp_path / "grasps.json"
-        save_candidates(candidates, path)
+        save_candidates(candidate_set(candidates), path)
         loaded = load_candidates(path)
         assert len(loaded) == 5
         for orig, back in zip(candidates, loaded):
             assert np.allclose(orig.transform.as_matrix(), back.transform.as_matrix())
             assert back.width == pytest.approx(orig.width)
+            assert back.source == orig.source
 
     def test_overwide_candidate_rejected_at_load(self, tmp_path):
         record = {
@@ -754,6 +768,19 @@ class TestCandidateFiles:
         path = tmp_path / "grasps.json"
         path.write_text(json.dumps([good, good, {**good, **bad}, good, {**good, **bad}]))
         with pytest.raises(InvalidCandidate, match=f"^candidate 2: {message}"):
+            load_candidates(path)
+
+    def test_malformed_record_rejected_before_any_candidate_check(self, tmp_path):
+        """Every record is parsed before the stack is validated, so a malformed
+        record 3 is reported even though record 1 is too wide."""
+        good = {"matrix": np.eye(4).reshape(-1).tolist(), "width_m": 0.04, "source": "file"}
+        records = [good, {**good, "width_m": 0.08}, good, {**good, "matrix": [1, 2, 3]}]
+        path = tmp_path / "grasps.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(SchemaError, match="^bad grasp record: matrix must have shape"):
+            load_candidates(path)
+        path.write_text(json.dumps(records[:3]))
+        with pytest.raises(InvalidCandidate, match="^candidate 1: jaw width"):
             load_candidates(path)
 
     def test_malformed_record_rejected(self, tmp_path):

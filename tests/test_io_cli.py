@@ -25,7 +25,7 @@ from handover.io_formats import (
     write_obj,
 )
 
-from helpers import default_pose_library
+from helpers import candidate_set, default_pose_library
 
 ASCII_PLY = """ply
 format ascii 1.0
@@ -278,7 +278,7 @@ class TestCli:
             pipeline.RigidTransform(np.eye(3), geometric_center(hand.vertices)), 0.04
         )
         grasps_path = workdir / "bad_grasps.json"
-        save_candidates([colliding], grasps_path)
+        save_candidates(candidate_set([colliding]), grasps_path)
         rc = main(
             [
                 "--json",
@@ -537,6 +537,30 @@ class TestCli:
         kp[4][1] = value
         self._assert_infer_rejects_keypoints(workdir, capsys, json.dumps(kp))
 
+    def test_imagine_writes_the_chosen_records_own_source(self, workdir):
+        """A grasp file's records keep their own source tags: the chosen one,
+        between two others in the file, is the tag written to --out."""
+        from handover.grasp import SelectionConfig, antipodal_candidates, rank_candidates
+        from handover.hand_model import lbs_forward
+
+        cloud = io_formats.load_ply(workdir / "cylinder.ply")
+        pose = synthetic.receiving_pose_for(cloud, "right")
+        hand = lbs_forward(synthetic.synthetic_hand_params("right"), pose)
+        sampled = antipodal_candidates(cloud, seed=5)
+        best, second, third = [i for i, _ in rank_candidates(sampled, hand, SelectionConfig())][:3]
+        records = [sampled[i].to_dict() for i in (second, best, third)]
+        for k, record in enumerate(records):
+            record["source"] = f"camera-{k}"
+        grasps_path = workdir / "tagged_grasps.json"
+        grasps_path.write_text(json.dumps(records))
+        out = workdir / "tagged_config.json"
+        argv = ["imagine", "--task", str(workdir / "task.json"), "--cloud",
+                str(workdir / "cylinder.ply"), "--grasps", str(grasps_path), "--out", str(out)]
+        assert main(argv) == 0
+        written = json.loads(out.read_text())
+        assert written["selection"]["selected_index"] == 1
+        assert written["grasp"]["source"] == "camera-1"
+
     @pytest.mark.parametrize("content", ['"abc"', "[[1, 2], [3]]", '{"x": 1}'])
     def test_infer_non_array_keypoints_exit_2(self, workdir, capsys, content):
         self._assert_infer_rejects_keypoints(workdir, capsys, content)
@@ -566,7 +590,7 @@ def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
     (root / "task.json").write_text(json.dumps({"object": "cylinder", "hand": "right"}))
     (root / "kp.json").write_text(json.dumps(cylinder_config.hand.joints.tolist()))
     (root / "poses.json").write_text(json.dumps(default_pose_library({"cylinder": cloud})))
-    save_candidates([cylinder_config.grasp], root / "grasps.json")
+    save_candidates(candidate_set([cylinder_config.grasp]), root / "grasps.json")
     save_hand_model(right_params, root / "hand.json")
     pipeline.save_configuration(cylinder_config, root / "config.json")
     return root
@@ -789,6 +813,15 @@ _POSE = ("cylinder", "right", "pose")
                      id="grasp-width-bool"),
         pytest.param("--grasps", _edited("grasps.json", (0, "matrix", 3), str),
                      id="grasp-matrix-string"),
+        # A boolean beside numbers, where it reads as 1 and would pass every
+        # other check: the last matrix entry and a pose's 6D row entry are 1 too.
+        pytest.param("--grasps", _edited("grasps.json", (0, "matrix", 15), True),
+                     id="grasp-matrix-bool"),
+        pytest.param("--config", _edited("config.json", ("grasp", "matrix", 15), True),
+                     id="record-matrix-bool"),
+        pytest.param("--config", _edited("config.json", ("hand_frame", "center", 1), True),
+                     id="record-center-bool"),
+        pytest.param("--poses", _edited("poses.json", (*_POSE, 2, 1), True), id="pose-bool"),
     ],
 )
 def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):
