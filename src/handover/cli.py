@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import io_formats, pipeline, synthetic
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     pick_setting,
     reading,
 )
-from .grasp import MAX_JAW_WIDTH_M, SelectionConfig
+from .grasp import SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
     ENDPOINT_URL_ENV,
@@ -70,14 +71,11 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
         )
 
 
-def _hand_models(args):
-    if getattr(args, "hand_model", None):
-        params = load_hand_model(args.hand_model)
-        return {params.handedness: params, params.mirrored().handedness: params.mirrored()}
-    return {
-        "right": synthetic.synthetic_hand_params("right"),
-        "left": synthetic.synthetic_hand_params("left"),
-    }
+def _hand_models(path) -> dict:
+    """The model of a hand-model file and its mirror image, by handedness."""
+    params = load_hand_model(path)
+    mirrored = params.mirrored()
+    return {params.handedness: params, mirrored.handedness: mirrored}
 
 
 def _emit_timing(name: str, seconds: float) -> None:
@@ -126,14 +124,11 @@ def _cmd_imagine(args) -> int:
     if args.grasps:
         grasp_provider = pipeline.StaticGraspProvider.from_file(args.grasps)
     else:
-        grasp_provider = pipeline.AntipodalGraspProvider(
-            max_width=MAX_JAW_WIDTH_M, count=args.count, seed=args.seed
-        )
+        grasp_provider = pipeline.AntipodalGraspProvider(count=args.count, seed=args.seed)
 
-    config = pipeline.PipelineConfig.default(
-        hand_models=_hand_models(args),
-        selection=_selection_config(args, settings),
-    )
+    config = pipeline.PipelineConfig.default(selection=_selection_config(args, settings))
+    if args.hand_model:
+        config = replace(config, hand_models=_hand_models(args.hand_model))
     start = time.perf_counter()
     result = pipeline.imagine_configuration(task, cloud, hand_provider, grasp_provider, config)
     _emit_timing("imagine_time_s", time.perf_counter() - start)

@@ -39,18 +39,20 @@ class ObjectCloud:
         return ObjectCloud(self.name, self.points, estimate_normals(self.points))
 
 
-def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
+# Each point's plane fit runs on the point and this many nearest points.
+NORMAL_NEIGHBORS = 12
+
+
+def estimate_normals(points) -> np.ndarray:
     """Per-point normals from local PCA, oriented outward from the centroid.
 
-    Each neighbourhood is the point and its ``neighbors`` nearest points
+    Each neighbourhood is the point and its NORMAL_NEIGHBORS nearest points
     (fewer on a smaller cloud) from ``nearest_neighbors``: exact, in order of
     squared distance with ties broken by index. On a surface cloud the search
     takes O(N log N) time and O(N) memory. The PCA runs on all points at once,
     with one stacked ``eigh``, and its result is bitwise equal to a per-point
     ``np.cov`` / ``eigh`` loop over the same neighbourhoods.
     """
-    if isinstance(neighbors, bool) or not isinstance(neighbors, (int, np.integer)) or neighbors < 1:
-        raise ValueError(f"neighbors must be an integer >= 1, got {neighbors!r}")
     p = frozen_array(points, (None, 3), ValueError, "points")
     n_points = p.shape[0]
     if n_points < 3:
@@ -61,7 +63,7 @@ def estimate_normals(points, neighbors: int = 12) -> np.ndarray:
         out[norms <= 1e-12] = (1.0, 0.0, 0.0)
         return out
 
-    k = min(neighbors, n_points - 1)
+    k = min(NORMAL_NEIGHBORS, n_points - 1)
     idx = nearest_neighbors(p, k + 1)
 
     # Same operations, in the same order, as np.cov on each neighbourhood.

@@ -11,7 +11,7 @@ Conventions
 - 6D rotation encoding: the first two columns of the matrix, concatenated;
   decoding runs Gram-Schmidt so any non-degenerate 6 numbers yield a valid
   member of SO(3).
-- Construction tolerance is 1e-12, verification tolerance 1e-9.
+- Verification tolerance is 1e-9.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DegenerateDirection, NonUnitQuaternion, ParallelAxes
 
-CONSTRUCTION_TOL = 1e-12
 VERIFY_TOL = 1e-9
 QUAT_NORM_TOL = 1e-6
 
@@ -74,11 +73,11 @@ def _vec3(value, name: str = "vector") -> np.ndarray:
     return v
 
 
-def unit(value, tol: float = 1e-9, name: str = "vector") -> np.ndarray:
-    """Normalize to unit length, raising DegenerateDirection on ~zero input."""
+def unit(value, name: str = "vector") -> np.ndarray:
+    """Normalize to unit length, raising DegenerateDirection at norm <= 1e-9."""
     v = _vec3(value, name)
     n = float(np.linalg.norm(v))
-    if n <= tol:
+    if n <= 1e-9:
         raise DegenerateDirection(f"{name} has norm {n:.3e}")
     return v / n
 

@@ -29,6 +29,9 @@ from .hand_model import PosedHand, geometric_center, hand_direction
 
 # Two-finger parallel gripper jaw limit (74 mm).
 MAX_JAW_WIDTH_M = 0.074
+# The sampler's friction cone: each contact normal must oppose the closing
+# axis within this half-angle (about 17 degrees).
+FRICTION_HALF_ANGLE = 0.3
 
 COSINE_MODES = ("signed", "absolute")
 
@@ -95,20 +98,26 @@ class CandidateSet:
         return GraspCandidate(transform, float(self.widths[k]), self.sources[k])
 
     def validate(self) -> None:
-        """InvalidCandidate naming the first bad candidate's index: a width
-        outside (0, MAX_JAW_WIDTH_M], else ||R^T R - I||_F or |det R - 1| > 1e-9."""
-        bad_width = ~((self.widths > 0.0) & (self.widths <= MAX_JAW_WIDTH_M))
-        r = self.rotations
-        gram = (np.swapaxes(r, 1, 2) @ r - np.eye(3)).reshape(-1, 9)
-        bad = bad_width | (np.sqrt(row_dot(gram, gram)) > 1e-9)
-        bad |= np.abs(np.linalg.det(r) - 1.0) > 1e-9
-        if bad.any():
-            k = int(np.argmax(bad))
-            if bad_width[k]:
-                why = f"jaw width {self.widths[k]} m outside (0, {MAX_JAW_WIDTH_M}]"
-            else:
-                why = "candidate rotation is not a proper rotation"
-            raise InvalidCandidate(f"candidate {k}: {why}")
+        """InvalidCandidate naming the first bad candidate's index (first_invalid)."""
+        invalid = first_invalid(self.rotations, self.widths)
+        if invalid is not None:
+            raise InvalidCandidate("candidate %d: %s" % invalid)
+
+
+def first_invalid(rotations: np.ndarray, widths: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the first of K candidates, given as (K, 3, 3)
+    rotations and (K,) widths, whose width lies outside (0, MAX_JAW_WIDTH_M],
+    else whose ||R^T R - I||_F or |det R - 1| exceeds 1e-9; None if all pass."""
+    bad_width = ~((widths > 0.0) & (widths <= MAX_JAW_WIDTH_M))
+    gram = (np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).reshape(-1, 9)
+    bad = bad_width | (np.sqrt(row_dot(gram, gram)) > 1e-9)
+    bad |= np.abs(np.linalg.det(rotations) - 1.0) > 1e-9
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if bad_width[k]:
+        return k, f"jaw width {widths[k]} m outside (0, {MAX_JAW_WIDTH_M}]"
+    return k, "candidate rotation is not a proper rotation"
 
 
 @dataclass(frozen=True)
@@ -210,22 +219,17 @@ def clearance_check(
 
 # --- offline antipodal candidate generation --------------------------------------
 
-def antipodal_candidates(
-    cloud: ObjectCloud,
-    max_width: float = MAX_JAW_WIDTH_M,
-    friction_half_angle: float = 0.3,
-    count: int = 16,
-    seed: int = 0,
-) -> CandidateSet:
+def antipodal_candidates(cloud: ObjectCloud, count: int = 16, seed: int = 0) -> CandidateSet:
     """Deterministic parallel-jaw grasp sampling from opposing point pairs.
 
-    A pair qualifies when its separation fits the jaw and both estimated
-    normals oppose the pair axis within the friction cone. The grasp frame
-    closes along the pair axis (column 1) and approaches perpendicular to it
-    from the side away from the cloud centroid (column 3), with the grasp
-    center at the pair midpoint. The seeded subsample draws ranks in the
-    canonical order (midpoint, then row-major rotation, then width), so the
-    returned CandidateSet, in that order, depends only on (inputs, seed).
+    A pair qualifies when its separation fits the jaw (MAX_JAW_WIDTH_M) and
+    both estimated normals oppose the pair axis within the friction cone
+    (FRICTION_HALF_ANGLE). The grasp frame closes along the pair axis
+    (column 1) and approaches perpendicular to it from the side away from the
+    cloud centroid (column 3), with the grasp center at the pair midpoint.
+    The seeded subsample draws ranks in the canonical order (midpoint, then
+    row-major rotation, then width), so the returned CandidateSet, in that
+    order, depends only on (inputs, seed).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -237,18 +241,14 @@ def antipodal_candidates(
     if n_points < 2:
         raise NoCandidatesFound("need at least two points")
 
-    effective_width = min(float(max_width), MAX_JAW_WIDTH_M)
-    cos_cone = np.cos(friction_half_angle)
+    cos_cone = np.cos(FRICTION_HALF_ANGLE)
     rng = np.random.default_rng(seed)
 
     if n_points <= 256:
         # Normals within theta of -axis and of +axis have n_i . n_j <= -cos 2theta
-        # = 1 - 2 cos^2 theta when theta < 90 degrees. The exact test below runs
-        # on the pairs this keeps, in the row-major order of triu_indices.
-        if cos_cone > 0.0:
-            kept = normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
-        else:
-            kept = np.ones((n_points, n_points), dtype=bool)
+        # = 1 - 2 cos^2 theta, as theta is below 90 degrees. The exact test below
+        # runs on the pairs this keeps, in the row-major order of triu_indices.
+        kept = normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
         # Flat indices and divmod: cheaper than the 2-D nonzero, same order.
         ii, jj = np.divmod(np.flatnonzero(np.triu(kept, k=1)), n_points)
     else:
@@ -260,7 +260,7 @@ def antipodal_candidates(
 
     span = points[jj] - points[ii]
     sep = np.linalg.norm(span, axis=1)
-    ok = (sep > 1e-9) & (sep <= effective_width)
+    ok = (sep > 1e-9) & (sep <= MAX_JAW_WIDTH_M)
     ii, jj, span, sep = ii[ok], jj[ok], span[ok], sep[ok]
     axis = span / sep[:, None]
     opposing = (np.einsum("ij,ij->i", normals[ii], axis) <= -cos_cone) & (

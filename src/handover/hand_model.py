@@ -66,6 +66,12 @@ PARENTS = np.array([-1, 0, 1, 2, 0, 4, 5, 0, 7, 8, 0, 10, 11, 0, 13, 14])
 HANDEDNESS = ("left", "right")
 
 
+def check_handedness(value, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``value`` is "left" or "right"."""
+    if value not in HANDEDNESS:
+        raise error(f"handedness must be left/right, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class HandModelParams:
     """Immutable hand model: template mesh, weights, regressor, skeleton."""
@@ -92,8 +98,7 @@ class HandModelParams:
             if value is None and name in ("shape_dirs", "faces"):
                 continue
             object.__setattr__(self, name, frozen_array(value, shape, ModelMismatch, name, dtype))
-        if self.handedness not in HANDEDNESS:
-            raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
+        check_handedness(self.handedness, ModelMismatch)
         self._validate_weights_and_tree()
 
     def _validate_weights_and_tree(self):
@@ -149,8 +154,7 @@ class HandPose:
         ):
             value = frozen_array(getattr(self, name), shape, ModelMismatch, name)
             object.__setattr__(self, name, value)
-        if self.handedness not in HANDEDNESS:
-            raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
+        check_handedness(self.handedness, ModelMismatch)
 
     @staticmethod
     def rest(handedness: str = "right") -> "HandPose":
@@ -191,8 +195,7 @@ class PosedHand:
         for name, shape in (("vertices", (NUM_VERTICES, 3)), ("joints", (NUM_KEYPOINTS, 3))):
             value = frozen_array(getattr(self, name), shape, ModelMismatch, name)
             object.__setattr__(self, name, value)
-        if self.handedness not in HANDEDNESS:
-            raise ModelMismatch(f"handedness must be left/right, got {self.handedness!r}")
+        check_handedness(self.handedness, ModelMismatch)
 
 
 # --- linear blend skinning -----------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     pick_setting,
     reading,
 )
-from .hand_model import checked_keypoints, classify_handedness
+from .hand_model import check_handedness, checked_keypoints, classify_handedness
 
 TIERS = ("clear", "foggy", "fuzzy")
 
@@ -141,8 +141,7 @@ class TaskDescription:
     def __post_init__(self):
         if not _is_name(self.object_name):
             raise SchemaError(f"object must be a non-empty string, got {self.object_name!r}")
-        if self.handedness not in ("left", "right"):
-            raise SchemaError(f"handedness must be left/right, got {self.handedness!r}")
+        check_handedness(self.handedness, SchemaError)
 
     def to_dict(self) -> dict:
         return {"object": self.object_name, "hand": self.handedness}
@@ -160,7 +159,6 @@ class IntentQuery:
     text: str
     keypoints: np.ndarray | None = None  # (21, 3)
     image_ref: str | None = None
-    handedness: str | None = None
 
     def __post_init__(self):
         if self.keypoints is not None:
@@ -212,7 +210,7 @@ def resolve_intent_rules(query: IntentQuery, catalog: ToolCatalog) -> TaskDescri
 
     Object scoring: canonical-name hit beats synonym hit beats use-case hit;
     ties break to catalog order. Handedness comes from the keypoint
-    observation (or an explicit override on the query).
+    observation.
     """
     text = " ".join(query.text.lower().split())
     if not text:
@@ -233,13 +231,9 @@ def resolve_intent_rules(query: IntentQuery, catalog: ToolCatalog) -> TaskDescri
     if best_name is None:
         raise NoObjectResolved(f"no catalog phrase matches {query.text!r}")
 
-    if query.handedness is not None:
-        handed = query.handedness
-    elif query.keypoints is not None:
-        handed = classify_handedness(query.keypoints)
-    else:
-        raise HandoverError("resolver needs keypoints or an explicit handedness")
-    return TaskDescription(object_name=best_name, handedness=handed)
+    if query.keypoints is None:
+        raise HandoverError("resolver needs hand keypoints")
+    return TaskDescription(object_name=best_name, handedness=classify_handedness(query.keypoints))
 
 
 # --- remote endpoint client ---------------------------------------------------------

@@ -143,8 +143,10 @@ class SceneExport:
                 raise ValueError(f"entry {entry.label!r} has non-finite vertices")
 
 
-def tessellate_sphere(center, radius: float, n_lat: int = 6, n_lon: int = 8):
-    """UV-sphere mesh (vertices, faces) around center."""
+def tessellate_sphere(center, radius: float):
+    """UV-sphere mesh (vertices, faces) around center: 6 latitude bands of 8
+    longitude steps, 42 vertices and 80 triangles."""
+    n_lat, n_lon = 6, 8
     center = np.asarray(center, dtype=float)
     verts = [center + (0.0, 0.0, radius)]
     for i in range(1, n_lat):

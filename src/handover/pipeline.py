@@ -49,6 +49,7 @@ from .grasp import (
     SelectionConfig,
     antipodal_candidates,
     clearance_check,
+    first_invalid,
     load_candidates,
     rank_candidates,
 )
@@ -115,36 +116,25 @@ class CannedPoseProvider:
 
 @dataclass(frozen=True)
 class ProceduralPoseProvider:
-    """Open receiving hand placed deterministically relative to the cloud."""
-
-    grip: str = "open"
-    reach_margin: float = 0.20
+    """Open receiving hand placed deterministically relative to the cloud
+    (``synthetic.receiving_pose_for``)."""
 
     def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> HandPose:
         from .synthetic import receiving_pose_for
 
-        return receiving_pose_for(
-            cloud, task.handedness, grip=self.grip, reach_margin=self.reach_margin
-        )
+        return receiving_pose_for(cloud, task.handedness)
 
 
 @dataclass(frozen=True)
 class AntipodalGraspProvider:
     """Offline candidate generator over the object cloud."""
 
-    max_width: float = MAX_JAW_WIDTH_M
-    friction_half_angle: float = 0.3
     count: int = 16
     seed: int = 0
 
     def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> CandidateSet:
-        return antipodal_candidates(
-            cloud,
-            max_width=self.max_width,
-            friction_half_angle=self.friction_half_angle,
-            count=self.count,
-            seed=self.seed,
-        )
+        # Keywords: bench/tracer.py reads the count from the call's kwargs.
+        return antipodal_candidates(cloud, count=self.count, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -283,7 +273,7 @@ class HandoverConfiguration:
                   for k in ("center", "direction", "normal"))
             )
             normals = cloud_rec.get("normals")
-            return cls(
+            config = cls(
                 task=TaskDescription.from_dict(data["task"]),
                 cloud=ObjectCloud(
                     name=cloud_rec["name"],
@@ -307,6 +297,13 @@ class HandoverConfiguration:
                 selection=SelectionRecord.from_dict(data["selection"]),
                 validation=ValidationReport.from_dict(data["validation"]),
             )
+            # Once every field has parsed: the rule each candidate passed
+            # before it could be chosen.
+            grasp = config.grasp
+            invalid = first_invalid(grasp.transform.rotation[None], np.array([grasp.width]))
+            if invalid is not None:
+                raise ValueError(f"grasp {invalid[1]}")
+        return config
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -226,17 +226,18 @@ def box_cloud(
 
 # --- receiving poses ----------------------------------------------------------------
 
-def receiving_pose_for(
-    cloud: ObjectCloud,
-    handedness: str = "right",
-    grip: str = "open",
-    reach_margin: float = 0.20,
-) -> HandPose:
-    """Open hand posed in the object frame, reaching toward the cloud from -x."""
-    sample = sample_receiving_pose((0.0, 0.0, 0.0), grip=grip, handedness=handedness)
+# How far beyond the cloud's smallest x the receiving wrist is placed.
+REACH_MARGIN_M = 0.20
+
+
+def receiving_pose_for(cloud: ObjectCloud, handedness: str = "right") -> HandPose:
+    """Open hand posed in the object frame, reaching toward the cloud from -x:
+    the wrist sits REACH_MARGIN_M below the cloud's smallest x, level with
+    its centroid in y and z."""
+    sample = sample_receiving_pose((0.0, 0.0, 0.0), grip="open", handedness=handedness)
     centroid = cloud.centroid
     wrist = np.array(
-        (float(cloud.points[:, 0].min()) - reach_margin, centroid[1], centroid[2])
+        (float(cloud.points[:, 0].min()) - REACH_MARGIN_M, centroid[1], centroid[2])
     )
     return HandPose(translation=wrist, pose=sample.pose.pose, handedness=handedness)
 

@@ -372,5 +372,4 @@ def test_random_unit_is_unit(rng):
 
 
 def test_geometry_module_constants():
-    assert geometry.CONSTRUCTION_TOL == 1e-12
     assert geometry.VERIFY_TOL == 1e-9

@@ -15,6 +15,7 @@ from handover.errors import (
 )
 from handover.geometry import RigidTransform, rot_x
 from handover.grasp import (
+    FRICTION_HALF_ANGLE,
     MAX_JAW_WIDTH_M,
     CandidateSet,
     GraspCandidate,
@@ -62,8 +63,9 @@ def _candidate_with_approach(approach, translation, width=0.04):
     return _candidate(rotation, translation, width)
 
 
-def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction_half_angle=0.3):
-    """The per-pair loop and tuple-key sort antipodal_candidates was written as.
+def _reference_antipodal(cloud, count, seed):
+    """The per-pair loop and tuple-key sort antipodal_candidates was written as,
+    with the 74 mm jaw and a 0.3 rad friction half-angle.
 
     Returns [(rotation, midpoint, width)]; the vectorised sampler must match
     it bit for bit, including the order of its RNG draws.
@@ -74,13 +76,13 @@ def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction
         raise NoCandidatesFound("need at least two points")
     rng = np.random.default_rng(seed)
     if n_points <= 256:
-        raw = _reference_all_pairs(cloud, max_width, friction_half_angle)
+        raw = _reference_all_pairs(cloud)
     else:
         n_pairs = max(count * 200, 2000)
         ii = rng.integers(0, n_points, size=n_pairs)
         jj = rng.integers(0, n_points, size=n_pairs)
         keep = ii < jj
-        raw = _reference_qualifying(cloud, ii[keep], jj[keep], max_width, friction_half_angle)
+        raw = _reference_qualifying(cloud, ii[keep], jj[keep])
     if len(raw) > count:
         chosen = sorted(rng.choice(len(raw), size=count, replace=False).tolist())
         raw = [raw[i] for i in chosen]
@@ -88,23 +90,22 @@ def _reference_antipodal(cloud, count, seed, max_width=MAX_JAW_WIDTH_M, friction
 
 
 @functools.lru_cache(maxsize=1)
-def _reference_all_pairs(cloud, max_width, friction_half_angle):
+def _reference_all_pairs(cloud):
     """All-pairs reference list, which does not depend on the seed or count.
 
-    Tests ask for one (cloud, angle) many times in a row; the cache keeps the
-    latest list only, since the wide-cone ones hold some 25k entries."""
+    Tests ask for one cloud many times in a row; the cache keeps the latest
+    list only."""
     ii, jj = np.triu_indices(cloud.points.shape[0], k=1)
-    return _reference_qualifying(cloud, ii, jj, max_width, friction_half_angle)
+    return _reference_qualifying(cloud, ii, jj)
 
 
-def _reference_qualifying(cloud, ii, jj, max_width, friction_half_angle):
+def _reference_qualifying(cloud, ii, jj):
     """Sorted (rotation, midpoint, width) of every qualifying pair (ii, jj)."""
     points, normals, centroid = cloud.points, cloud.normals, cloud.centroid
-    effective_width = min(float(max_width), MAX_JAW_WIDTH_M)
-    cos_cone = np.cos(friction_half_angle)
+    cos_cone = np.cos(0.3)
     span = points[jj] - points[ii]
     sep = np.linalg.norm(span, axis=1)
-    ok = (sep > 1e-9) & (sep <= effective_width)
+    ok = (sep > 1e-9) & (sep <= MAX_JAW_WIDTH_M)
     ii, jj, span, sep = ii[ok], jj[ok], span[ok], sep[ok]
     axis = span / sep[:, None]
     opposing = (np.einsum("ij,ij->i", normals[ii], axis) <= -cos_cone) & (
@@ -157,20 +158,14 @@ _RANDOM_PAIR_CLOUDS = [
 ]
 
 
-def _assert_matches_reference(cloud, count, seed, friction_half_angle=0.3):
+def _assert_matches_reference(cloud, count, seed):
     try:
-        expected = _reference_antipodal(
-            cloud, count, seed, friction_half_angle=friction_half_angle
-        )
+        expected = _reference_antipodal(cloud, count, seed)
     except NoCandidatesFound:
         with pytest.raises(NoCandidatesFound):
-            antipodal_candidates(
-                cloud, friction_half_angle=friction_half_angle, count=count, seed=seed
-            )
+            antipodal_candidates(cloud, count=count, seed=seed)
         return 0
-    out = antipodal_candidates(
-        cloud, friction_half_angle=friction_half_angle, count=count, seed=seed
-    )
+    out = antipodal_candidates(cloud, count=count, seed=seed)
     assert len(out) == len(expected)
     # Whole stacks at once: np.array_equal is still exact, entry by entry.
     assert np.array_equal(out.rotations, [r for r, _, _ in expected])
@@ -618,23 +613,21 @@ class TestAntipodal:
     def test_prefilter_slack_covers_normals_off_unit(self):
         """Normals 0.9e-6 longer than unit, which ObjectCloud accepts, that
         just pass the cone test: n_i . n_j exceeds -cos 2theta by about 2e-6."""
-        half_angle, stretch = 0.3, 1.0 + 0.9e-6
+        half_angle, stretch = FRICTION_HALF_ANGLE, 1.0 + 0.9e-6
         c = (np.cos(half_angle) + 1e-12) / stretch
         s = np.sqrt(1.0 - c * c)
         normals = stretch * np.array([(-c, s, 0.0), (c, s, 0.0)])
         assert normals[0] @ normals[1] > -np.cos(2 * half_angle) + 1e-6
         cloud = ObjectCloud("pair", np.array([(-0.02, 0, 0), (0.02, 0, 0)]), normals)
-        assert len(antipodal_candidates(cloud, friction_half_angle=half_angle)) == 1
+        assert len(antipodal_candidates(cloud)) == 1
 
     @pytest.mark.parametrize("cloud", _ALL_PAIRS_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}")
     def test_all_pairs_path_matches_reference_loop(self, cloud):
         assert len(cloud.points) <= 256
-        # 1.7 rad is past 90 degrees, where the normal-dot prefilter is off.
-        for half_angle in (0.1, 0.3, 0.6, 1.0, 1.7):
-            for seed in range(10):
-                # 10**6 is more than there are pairs: all of them, in order.
-                for count in (1, 16, 10**6):
-                    _assert_matches_reference(cloud, count, seed, half_angle)
+        for seed in range(10):
+            # 10**6 is more than there are pairs: all of them, in order.
+            for count in (1, 16, 10**6):
+                _assert_matches_reference(cloud, count, seed)
 
     @pytest.mark.parametrize(
         "cloud", _RANDOM_PAIR_CLOUDS, ids=lambda c: f"{c.name}{len(c.points)}"
@@ -661,7 +654,7 @@ class TestAntipodal:
         independent exhaustive scan with the same admissibility rules."""
         cloud = box_cloud(size=(0.11, 0.09, 0.05))
         half_angle = 0.3
-        out = antipodal_candidates(cloud, friction_half_angle=half_angle, count=64, seed=2)
+        out = antipodal_candidates(cloud, count=64, seed=2)
         points, normals = cloud.points, cloud.normals
         valid = set()
         n = points.shape[0]
@@ -701,8 +694,9 @@ class TestAntipodal:
                 assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-9
 
     def test_jaw_cap_applies_even_with_larger_request(self):
+        # Two of the box's sizes are wider than the jaw.
         cloud = box_cloud(size=(0.2, 0.2, 0.06))
-        out = antipodal_candidates(cloud, max_width=10.0, count=64, seed=0)
+        out = antipodal_candidates(cloud, count=64, seed=0)
         assert all(c.width <= MAX_JAW_WIDTH_M for c in out)
 
     def test_no_candidates_found(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from handover.errors import (
     SchemaError,
 )
 from handover.geometry import matrix_to_rot6d, rot6d_to_matrices, rot_z
+from handover.intent import TaskDescription
 from handover.hand_model import (
     KEYPOINT_DRIVER,
     NUM_JOINTS,
@@ -485,6 +488,21 @@ class TestModelValidation:
 
     def test_keypoint_driver_covers_all_joints(self):
         assert set(KEYPOINT_DRIVER.tolist()) == set(range(NUM_JOINTS))
+
+    @pytest.mark.parametrize("value", ["up", "Left", None, 1])
+    def test_every_value_type_rejects_a_bad_handedness_alike(self, right_params, value):
+        build = {
+            ModelMismatch: [
+                lambda: replace(right_params, handedness=value),
+                lambda: replace(HandPose.rest(), handedness=value),
+                lambda: PosedHand(np.zeros((NUM_VERTICES, 3)), np.zeros((NUM_KEYPOINTS, 3)), value),
+            ],
+            SchemaError: [lambda: TaskDescription("knife", value)],
+        }
+        for error, makers in build.items():
+            for make in makers:
+                with pytest.raises(error, match=f"^handedness must be left/right, got {value!r}$"):
+                    make()
 
 
 class TestModelFile:

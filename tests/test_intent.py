@@ -169,12 +169,6 @@ class TestRuleResolver:
         with pytest.raises(HandoverError):
             resolve_intent_rules(IntentQuery(text="I need a knife"), catalog)
 
-    def test_explicit_handedness_wins(self, catalog):
-        task = resolve_intent_rules(
-            IntentQuery(text="I need a knife", handedness="left"), catalog
-        )
-        assert task.handedness == "left"
-
     def test_name_beats_synonym_beats_use_case(self, right_kp):
         catalog = ToolCatalog(
             (

@@ -14,7 +14,7 @@ from handover.errors import (
     reading,
 )
 from handover.hand_model import decode_array, encode_array
-from handover.intent import save_catalog, save_corpus
+from handover.intent import TaskDescription, save_catalog, save_corpus
 from handover.io_formats import (
     SceneEntry,
     SceneExport,
@@ -139,7 +139,7 @@ class TestObjExport:
                     assert 1 <= index <= n_vertices
 
     def test_sphere_tessellation_watertight_counts(self):
-        verts, faces = tessellate_sphere((0, 0, 0), 0.01, n_lat=6, n_lon=8)
+        verts, faces = tessellate_sphere((0, 0, 0), 0.01)
         assert verts.shape == (2 + 5 * 8, 3)
         assert np.allclose(np.linalg.norm(verts, axis=1), 0.01, atol=1e-12)
         # Euler characteristic of a sphere: V - E + F = 2 with E = 3F/2
@@ -265,6 +265,27 @@ class TestCli:
             assert rc == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("shape", ["cylinder", "box"])
+    def test_imagine_uses_the_library_defaults(self, tmp_path, capsys, shape):
+        """A sampled --out file is, byte for byte, what the library writes with
+        default providers and PipelineConfig.default()."""
+        cloud_path = tmp_path / f"{shape}.ply"
+        io_formats.save_ply(getattr(synthetic, f"{shape}_cloud")(), cloud_path)
+        cloud = io_formats.load_ply(cloud_path)
+        config = pipeline.PipelineConfig.default()
+        task_path, out = tmp_path / "task.json", tmp_path / "out.json"
+        for hand in ("right", "left"):
+            task_path.write_text(json.dumps({"object": shape, "hand": hand}))
+            for seed in (0, 3):
+                argv = ["imagine", "--task", str(task_path), "--cloud", str(cloud_path),
+                        "--sample-antipodal", "--seed", str(seed), "--out", str(out)]
+                assert main(argv) == 0
+                want = pipeline.imagine_configuration(
+                    TaskDescription(shape, hand), cloud, pipeline.ProceduralPoseProvider(),
+                    pipeline.AntipodalGraspProvider(seed=seed), config,
+                )
+                assert out.read_bytes() == want.to_json_text().encode("utf-8")
 
     def test_imagine_with_colliding_candidate_exits_1(self, workdir, capsys):
         # single candidate placed on the receiving hand itself
@@ -726,6 +747,16 @@ _NAN, _INF = float("nan"), float("inf")
 _POSE = ("cylinder", "right", "pose")
 
 
+def _scaled_rotation(matrix):
+    """A flat 4 x 4 grasp matrix with its rotation block scaled by 2."""
+    return [2.0 * v if k < 12 and k % 4 < 3 else v for k, v in enumerate(matrix)]
+
+
+def _reflected_rotation(matrix):
+    """A flat 4 x 4 grasp matrix with its rotation's third column negated."""
+    return [-v if k in (2, 6, 10) else v for k, v in enumerate(matrix)]
+
+
 @pytest.mark.parametrize(
     "flag, build",
     [
@@ -822,6 +853,13 @@ _POSE = ("cylinder", "right", "pose")
         pytest.param("--config", _edited("config.json", ("hand_frame", "center", 1), True),
                      id="record-center-bool"),
         pytest.param("--poses", _edited("poses.json", (*_POSE, 2, 1), True), id="pose-bool"),
+        # A record's grasp meets the rule every candidate meets before it is chosen.
+        pytest.param("--config", _edited("config.json", ("grasp", "matrix"), _scaled_rotation),
+                     id="record-grasp-scaled"),
+        pytest.param("--config", _edited("config.json", ("grasp", "matrix"), _reflected_rotation),
+                     id="record-grasp-reflected"),
+        pytest.param("--config", _edited("config.json", ("grasp", "width_m"), 5.0),
+                     id="record-grasp-overwide"),
     ],
 )
 def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):
