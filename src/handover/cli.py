@@ -71,6 +71,13 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
         )
 
 
+def _endpoint_config(args, settings: dict) -> EndpointConfig:
+    """Endpoint settings: the flags first, then the environment, then the settings file."""
+    return EndpointConfig.from_env(
+        settings.get("endpoint"), base_url=args.endpoint, model=args.model, timeout_s=args.timeout
+    )
+
+
 def _hand_models(path) -> dict:
     """The model of a hand-model file and its mirror image, by handedness."""
     params = load_hand_model(path)
@@ -88,12 +95,7 @@ def _cmd_infer(args) -> int:
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
     if args.endpoint or (not args.keypoints and os.environ.get(ENDPOINT_URL_ENV)):
-        config = EndpointConfig.from_env(
-            settings.get("endpoint"),
-            base_url=args.endpoint,
-            model=args.model,
-            timeout_s=args.timeout,
-        )
+        config = _endpoint_config(args, settings)
         image_bytes = None
         if args.image:
             with open(args.image, "rb") as fh:
@@ -155,12 +157,7 @@ def _cmd_evaluate(args) -> int:
     catalog = load_catalog(args.catalog)
     corpus = load_corpus(args.corpus)
     if args.endpoint:
-        config = EndpointConfig.from_env(
-            settings.get("endpoint"),
-            base_url=args.endpoint,
-            model=args.model,
-            timeout_s=args.timeout,
-        )
+        config = _endpoint_config(args, settings)
         resolver = EndpointResolver(catalog, config)
     else:
         resolver = RuleResolver(catalog)

@@ -131,6 +131,10 @@ class DegenerateObservation(HandoverError):
     """Observed keypoints are unusable (non-finite or collapsed)."""
 
 
+class ValidationFailed(HandoverError):
+    """A configuration record's own validation report did not pass."""
+
+
 # --- file formats ------------------------------------------------------------
 
 class MalformedHeader(InputFormatError):

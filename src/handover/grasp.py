@@ -25,7 +25,7 @@ from .errors import (
     reading,
 )
 from .geometry import RigidTransform, cross3, frozen_array, row_dot
-from .hand_model import PosedHand, geometric_center, hand_direction
+from .hand_model import PosedHand, direction_from_joints, geometric_center
 
 # Two-finger parallel gripper jaw limit (74 mm).
 MAX_JAW_WIDTH_M = 0.074
@@ -188,7 +188,7 @@ def rank_candidates(candidates: CandidateSet, hand: PosedHand, config: Selection
     if len(candidates) == 0:
         raise EmptyCandidateSet("no grasp candidates to rank")
     v_g = candidates.rotations[:, :, 2]
-    cos = row_dot(v_g, np.broadcast_to(hand_direction(hand), v_g.shape))
+    cos = row_dot(v_g, np.broadcast_to(direction_from_joints(hand.joints), v_g.shape))
     if config.cosine_mode == "absolute":
         cos = np.abs(cos)
     offset = candidates.translations - geometric_center(hand.vertices)

@@ -297,10 +297,6 @@ def direction_from_joints(joints) -> np.ndarray:
     return span / np.linalg.norm(span)
 
 
-def hand_direction(hand: PosedHand) -> np.ndarray:
-    return direction_from_joints(hand.joints)
-
-
 def normal_from_joints(joints, handedness: str) -> np.ndarray:
     """Palm-out unit normal from wrist / index-base / pinky-base keypoints.
 
@@ -314,10 +310,6 @@ def normal_from_joints(joints, handedness: str) -> np.ndarray:
         raise DegenerateNormal("wrist, index base and pinky base are collinear")
     sign = 1.0 if handedness == "right" else -1.0
     return sign * raw / np.linalg.norm(raw)
-
-
-def palm_normal(hand: PosedHand) -> np.ndarray:
-    return normal_from_joints(hand.joints, hand.handedness)
 
 
 def classify_handedness(joints) -> str:
@@ -336,15 +328,6 @@ def classify_handedness(joints) -> str:
     return "right" if triple > 0 else "left"
 
 
-def hand_frame_of(hand: PosedHand) -> HandFrame:
-    """Hand frame with the center taken over the mesh vertices."""
-    return build_frame(
-        geometric_center(hand.vertices),
-        hand_direction(hand),
-        palm_normal(hand),
-    )
-
-
 def checked_keypoints(
     keypoints, error: type[HandoverError], source: str = "keypoints"
 ) -> np.ndarray:
@@ -352,19 +335,19 @@ def checked_keypoints(
     return frozen_array(keypoints, (NUM_KEYPOINTS, 3), error, source)
 
 
-def frame_from_joints(joints) -> HandFrame:
-    """Hand frame from observed keypoints only (center over the 21 joints)."""
-    j = checked_keypoints(joints, HandoverError)
-    return _frame_of_handed_joints(j, classify_handedness(j))
-
-
-def _frame_of_handed_joints(joints: np.ndarray, handedness: str) -> HandFrame:
-    """frame_from_joints for checked joints whose handedness is known."""
+def frame_from_joints(joints: np.ndarray, handedness: str) -> HandFrame:
+    """The one hand-frame rule, for checked (21, 3) keypoints: centred on
+    their mean, +x from the wrist to the middle fingertip, +z palm-out."""
     return build_frame(
         geometric_center(joints),
         direction_from_joints(joints),
         normal_from_joints(joints, handedness),
     )
+
+
+def hand_frame_of(hand: PosedHand) -> HandFrame:
+    """The imagined hand's frame, by the same rule as the observed one."""
+    return frame_from_joints(hand.joints, hand.handedness)
 
 
 # --- model container ("hand-model/1") --------------------------------------------

@@ -28,6 +28,7 @@ from .errors import (
     ModelMismatch,
     ProviderEmpty,
     SchemaError,
+    ValidationFailed,
     load_json_file,
     reading,
 )
@@ -59,12 +60,11 @@ from .hand_model import (
     HandModelParams,
     HandPose,
     PosedHand,
-    _frame_of_handed_joints,
     checked_keypoints,
     classify_handedness,
     decode_array,
     encode_array,
-    frame_from_joints,  # noqa: F401  bench/tracer.py wraps it at this attribute
+    frame_from_joints,
     hand_frame_of,
     lbs_forward,
 )
@@ -509,9 +509,14 @@ def match_to_observation(
 ) -> EndEffectorTarget:
     """Match the imagined configuration onto observed hand keypoints.
 
-    The observed hand's handedness must agree with the task; the returned
+    A configuration whose recorded validation failed is refused, and the
+    observed hand's handedness must agree with the task; the returned
     target preserves the imagined gripper-to-hand relative pose exactly.
     """
+    if not config.validation.passed:
+        checks = sorted(config.validation.checks.items())
+        failed = ", ".join(name for name, check in checks if not check.passed)
+        raise ValidationFailed(f"configuration failed validation: {failed}")
     joints = checked_keypoints(observed_joints, DegenerateObservation)
     try:
         observed_handedness = classify_handedness(joints)
@@ -522,7 +527,7 @@ def match_to_observation(
             f"observed a {observed_handedness} hand, task expects {config.task.handedness}"
         )
     try:
-        real = _frame_of_handed_joints(joints, observed_handedness)
+        real = frame_from_joints(joints, observed_handedness)
     except (DegenerateDirection, DegenerateNormal) as exc:
         raise DegenerateObservation(str(exc)) from exc
     return transport_grasp(config.hand_frame, real, config.grasp.transform)

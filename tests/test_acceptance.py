@@ -32,8 +32,8 @@ from handover.grasp import (
 )
 from handover.hand_model import (
     HandPose,
+    direction_from_joints,
     geometric_center,
-    hand_direction,
     lbs_forward,
     skin_vertices,
 )
@@ -133,7 +133,7 @@ def test_03_relative_pose_preservation(cylinder_config):
         motion = RigidTransform(random_rotation(rng), rng.uniform(-1, 1, 3))
         observed = motion.apply(cylinder_config.hand.joints)
         target = match_to_observation(cylinder_config, observed)
-        real_rel = frame_from_joints(observed).as_transform().inverse().compose(
+        real_rel = frame_from_joints(observed, "right").as_transform().inverse().compose(
             RigidTransform(quat_to_matrix(target.quaternion), target.position)
         )
         worst = max(worst, float(np.abs(real_rel.as_matrix() - imagined_rel.as_matrix()).max()))
@@ -217,7 +217,7 @@ def _random_candidate(rng):
 def test_06_grasp_selection(right_params):
     rng = np.random.default_rng(606)
     hand = lbs_forward(right_params, HandPose.rest("right"))
-    v_h = hand_direction(hand)
+    v_h = direction_from_joints(hand.joints)
     p_h = geometric_center(hand.vertices)
 
     mismatches = 0

@@ -28,7 +28,7 @@ from handover.grasp import (
     save_candidates,
     score_candidate,
 )
-from handover.hand_model import HandPose, geometric_center, hand_direction, lbs_forward
+from handover.hand_model import HandPose, direction_from_joints, geometric_center, lbs_forward
 from handover.intent import TaskDescription
 from handover.pipeline import (
     AntipodalGraspProvider,
@@ -185,7 +185,7 @@ def _reference_validate_and_rank(candidates, hand, config):
         r = cand.transform.rotation
         if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-9 or abs(np.linalg.det(r) - 1) > 1e-9:
             raise InvalidCandidate(f"candidate {k}: candidate rotation is not a proper rotation")
-    v_h = hand_direction(hand)
+    v_h = direction_from_joints(hand.joints)
     p_h = geometric_center(hand.vertices)
     scored = []
     for i, cand in enumerate(candidates):
@@ -399,7 +399,7 @@ class TestCenterAndDirection:
     approach axis as the third rotation column."""
 
     def _assert_scored_as(self, candidate, hand, p_g, v_g):
-        v_h, p_h = hand_direction(hand), geometric_center(hand.vertices)
+        v_h, p_h = direction_from_joints(hand.joints), geometric_center(hand.vertices)
         want = score_candidate(v_g, p_g, v_h, p_h, SelectionConfig())
         assert _rank_score(candidate, hand) == pytest.approx(want, abs=1e-12)
 
@@ -463,7 +463,7 @@ class TestSelect:
     def test_mode_divergence_on_170_vs_90(self, rest_hand):
         """Equidistant candidates at 170 and 90 degrees to the hand direction
         pick differently under the two cosine conventions."""
-        v_h = hand_direction(rest_hand)
+        v_h = direction_from_joints(rest_hand.joints)
         p_h = geometric_center(rest_hand.vertices)
         # both 0.2 m from the hand center, along +x from it
         offset = p_h + 0.2 * np.array([1.0, 0.0, 0.0])
@@ -487,7 +487,7 @@ class TestSelect:
             _select([], rest_hand, SelectionConfig())
 
     def test_matches_brute_force_oracle(self, rest_hand, rng):
-        v_h = hand_direction(rest_hand)
+        v_h = direction_from_joints(rest_hand.joints)
         p_h = geometric_center(rest_hand.vertices)
         for mode in ("signed", "absolute"):
             cfg = SelectionConfig(cosine_mode=mode, distance_weight=rng.uniform(0.1, 3.0))

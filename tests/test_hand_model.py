@@ -29,12 +29,10 @@ from handover.hand_model import (
     encode_array,
     frame_from_joints,
     geometric_center,
-    hand_direction,
     hand_frame_of,
     lbs_forward,
     load_hand_model,
     normal_from_joints,
-    palm_normal,
     save_hand_model,
     skin_vertices,
 )
@@ -135,8 +133,14 @@ class TestLbsForward:
             right_params,
             HandPose(translation=np.zeros(3), pose=rest_pose_blocks(), shape=shape),
         )
-        assert np.allclose(hand_direction(rest), hand_direction(scaled), atol=1e-12)
-        assert np.allclose(palm_normal(rest), palm_normal(scaled), atol=1e-12)
+        assert np.allclose(
+            direction_from_joints(rest.joints), direction_from_joints(scaled.joints), atol=1e-12
+        )
+        assert np.allclose(
+            normal_from_joints(rest.joints, "right"),
+            normal_from_joints(scaled.joints, "right"),
+            atol=1e-12,
+        )
 
     def test_degenerate_pose_block_raises(self, right_params):
         blocks = np.tile(matrix_to_rot6d(np.eye(3)), (NUM_JOINTS, 1))
@@ -364,7 +368,7 @@ class TestKeypointGeometry:
     def test_palm_normal_exits_the_palm_on_the_synthetic_hand(self, right_params):
         hand = lbs_forward(right_params, HandPose.rest("right"))
         # synthetic rest hand lies palm-up: palm side is +z
-        assert palm_normal(hand) @ np.array([0.0, 0.0, 1.0]) > 0.9
+        assert normal_from_joints(hand.joints, "right") @ np.array([0.0, 0.0, 1.0]) > 0.9
 
     def test_geometric_center_examples(self):
         assert np.allclose(geometric_center([(0, 0, 0)]), (0, 0, 0))
@@ -395,16 +399,18 @@ class TestKeypointGeometry:
         with pytest.raises(AmbiguousHandedness):
             classify_handedness(joints)
 
-    def test_hand_frame_of_composition(self, right_params):
-        hand = lbs_forward(right_params, HandPose.rest("right"))
+    @pytest.mark.parametrize("handedness", ["right", "left"])
+    def test_imagined_frame_is_the_keypoint_frame(self, right_params, left_params, handedness):
+        """Imagined and observed hands share one frame rule, centred on the 21
+        keypoints, not on the mesh vertices."""
+        params = {"right": right_params, "left": left_params}[handedness]
+        pose = _pose_with_root(rot_z(0.7), handedness, translation=(0.1, -0.2, 0.3))
+        hand = lbs_forward(params, pose)
         frame = hand_frame_of(hand)
-        assert np.allclose(frame.center, geometric_center(hand.vertices), atol=1e-12)
-        assert np.allclose(frame.direction, hand_direction(hand), atol=1e-12)
-
-    def test_frame_from_joints_uses_joint_centroid(self, right_params):
-        joints = right_params.rest_keypoints
-        frame = frame_from_joints(joints)
-        assert np.allclose(frame.center, geometric_center(joints), atol=1e-12)
+        want = frame_from_joints(hand.joints, hand.handedness)
+        for name in ("center", "direction", "normal"):
+            assert np.array_equal(getattr(frame, name), getattr(want, name))
+        assert np.array_equal(frame.center, hand.joints.mean(axis=0))
 
 
 class TestModelValidation:

@@ -381,6 +381,24 @@ class TestCli:
         )
         assert rc == 1
 
+    def test_match_refuses_a_record_that_failed_validation(self, workdir, capsys):
+        config_path = workdir / "config.json"
+        argv = ["imagine", "--task", str(workdir / "task.json"), "--cloud",
+                str(workdir / "cylinder.ply"), "--sample-antipodal", "--out", str(config_path)]
+        assert main(argv) == 0
+        doc = json.loads(config_path.read_text())
+        doc["validation"]["clearance"].update(passed=False, measured=-0.02)
+        config_path.write_text(json.dumps(doc))
+        target_path = workdir / "target.json"
+        capsys.readouterr()
+        rc = main(["--json", "match", "--config", str(config_path),
+                   "--observed-keypoints", str(workdir / "kp.json"), "--out", str(target_path)])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "ValidationFailed",
+                         "message": "configuration failed validation: clearance"}
+        assert not target_path.exists()
+
     def test_evaluate_writes_json_and_csv(self, workdir, capsys):
         report_path = workdir / "report.json"
         rc = main(

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover import pipeline, synthetic
@@ -27,9 +27,9 @@ from handover.geometry import (
 from handover.grasp import GraspCandidate, GripperGeometry
 from handover.hand_model import (
     HandPose,
+    direction_from_joints,
     frame_from_joints,
     geometric_center,
-    hand_direction,
     lbs_forward,
 )
 from handover.intent import TaskDescription
@@ -166,7 +166,7 @@ class TestImagine:
         hand_pose = synthetic.receiving_pose_for(cylinder_cloud, "right")
         hand = lbs_forward(pipe_config.model_for("right"), hand_pose)
         at_hand = _approach_candidate(
-            -hand_direction(hand), geometric_center(hand.vertices)
+            -direction_from_joints(hand.joints), geometric_center(hand.vertices)
         )
         with pytest.raises(AllCandidatesCollide) as err:
             imagine_configuration(
@@ -184,7 +184,7 @@ class TestImagine:
         away and badly angled, must be selected with the skip recorded."""
         hand_pose = synthetic.receiving_pose_for(cylinder_cloud, "right")
         hand = lbs_forward(pipe_config.model_for("right"), hand_pose)
-        v_h = hand_direction(hand)
+        v_h = direction_from_joints(hand.joints)
         p_h = geometric_center(hand.vertices)
         best_but_colliding = _approach_candidate(-v_h, p_h)
         runner_up = _approach_candidate(v_h, p_h + 0.5 * v_h)
@@ -271,13 +271,14 @@ class TestImagine:
         assert run() == run()
 
 
-@functools.lru_cache(maxsize=1)
-def _imagined_cylinder():
-    """conftest's cylinder_config, built here: hypothesis prints the arguments
-    of a failing example, and a fixture argument would print the whole record."""
+@functools.lru_cache(maxsize=None)
+def _imagined(shape, handedness):
+    """conftest's cylinder_config and its box and left-hand kin, built here:
+    hypothesis prints the arguments of a failing example, and a fixture
+    argument would print the whole record."""
     return imagine_configuration(
-        TaskDescription("cylinder", "right"),
-        synthetic.cylinder_cloud(),
+        TaskDescription(shape, handedness),
+        getattr(synthetic, f"{shape}_cloud")(),
         ProceduralPoseProvider(),
         AntipodalGraspProvider(seed=7),
         PipelineConfig.default(),
@@ -288,8 +289,8 @@ class TestMatch:
     def _observed_equal_to_imagined_frame(self, config):
         """Joints whose keypoint frame coincides with the stored hand frame."""
         joints = config.hand.joints
-        shift = config.hand_frame.center - geometric_center(joints)
-        return joints + shift
+        assert np.array_equal(config.hand_frame.center, geometric_center(joints))
+        return joints
 
     def test_identical_frames_give_grasp_unchanged(self, cylinder_config):
         observed = self._observed_equal_to_imagined_frame(cylinder_config)
@@ -319,45 +320,41 @@ class TestMatch:
             motion = RigidTransform(random_rotation(rng), rng.uniform(-1, 1, 3))
             observed = motion.apply(cylinder_config.hand.joints)
             target = match_to_observation(cylinder_config, observed)
-            real_frame = frame_from_joints(observed)
+            real_frame = frame_from_joints(observed, "right")
             target_pose = RigidTransform(quat_to_matrix(target.quaternion), target.position)
             real_rel = real_frame.as_transform().inverse().compose(target_pose)
             assert np.allclose(
                 real_rel.as_matrix(), imagined_rel.as_matrix(), atol=1e-9
             )
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the imagined frame is centred on the 778 mesh vertices and the observed "
-        "one on the 21 keypoints, which puts the target 21.2 mm from M.grasp "
-        "(ROADMAP item 1)",
-    )
-    # Every example fails until then; shrinking them would repeat the 21.2 mm.
-    @settings(max_examples=10, derandomize=True, deadline=None, phases=[Phase.generate])
+    @pytest.mark.parametrize("shape", ["cylinder", "box"])
+    @pytest.mark.parametrize("handedness", ["right", "left"])
+    @settings(max_examples=10, derandomize=True, deadline=None)
     @given(
         quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
             lambda q: np.linalg.norm(q) > 0.1
         ),
         shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
     )
-    def test_rigid_motion_of_imagined_joints_moves_target_rigidly(self, quaternion, shift):
+    def test_rigid_motion_of_imagined_joints_moves_target_rigidly(
+        self, shape, handedness, quaternion, shift
+    ):
         """An independent oracle: the observed hand is the imagined one moved
         by M, so the target must be M applied to the imagined grasp."""
-        config = _imagined_cylinder()
+        config = _imagined(shape, handedness)
         q = np.array(quaternion) / np.linalg.norm(quaternion)
         motion = RigidTransform(quat_to_matrix(q), np.array(shift))
         target = match_to_observation(config, motion.apply(config.hand.joints))
         want = motion.compose(config.grasp.transform)
         error_mm = 1e3 * np.linalg.norm(target.position - want.translation)
-        assert error_mm <= 1e-6, f"target is {error_mm:.1f} mm from M.grasp"
+        assert error_mm <= 1e-6, f"target is {error_mm:.3g} mm from M.grasp"
         assert np.allclose(quat_to_matrix(target.quaternion), want.rotation, rtol=0, atol=1e-9)
 
     def test_matching_conditions_hold(self, cylinder_config, rng):
         motion = RigidTransform(random_rotation(rng), rng.uniform(-1, 1, 3))
         observed = motion.apply(cylinder_config.hand.joints)
         target = match_to_observation(cylinder_config, observed)
-        real = frame_from_joints(observed)
+        real = frame_from_joints(observed, "right")
         h = target.transform
         assert np.allclose(h.apply(cylinder_config.hand_frame.center), real.center, atol=1e-9)
         assert h.rotate(cylinder_config.hand_frame.direction) @ real.direction >= 1 - 1e-9
@@ -623,10 +620,7 @@ class TestSerialization:
             HandoverConfiguration.from_json_dict(doc)
 
     def test_quaternion_provenance_fields(self, cylinder_config):
-        observed = cylinder_config.hand.joints + (
-            cylinder_config.hand_frame.center - geometric_center(cylinder_config.hand.joints)
-        )
-        target = match_to_observation(cylinder_config, observed)
+        target = match_to_observation(cylinder_config, cylinder_config.hand.joints)
         doc = target.to_json_dict()
         assert doc["schema"] == "end-effector-target/1"
         assert len(doc["matching_transform"]) == 16
