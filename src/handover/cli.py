@@ -126,7 +126,8 @@ def _cmd_imagine(args) -> int:
     if args.grasps:
         grasp_provider = pipeline.StaticGraspProvider.from_file(args.grasps)
     else:
-        grasp_provider = pipeline.AntipodalGraspProvider(count=args.count, seed=args.seed)
+        with reading("sampler setting"):
+            grasp_provider = pipeline.AntipodalGraspProvider(count=args.count, seed=args.seed)
 
     config = pipeline.PipelineConfig.default(selection=_selection_config(args, settings))
     if args.hand_model:

@@ -92,6 +92,14 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def rotation_residuals(rotations) -> np.ndarray:
+    """max(max|R^T R - I|, |det R - 1|) of each of a (K, 3, 3) stack: the one
+    measure of how far a matrix is from a proper rotation, judged against
+    VERIFY_TOL."""
+    gram = np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).reshape(-1, 9)
+    return np.maximum(gram.max(axis=1), np.abs(np.linalg.det(rotations) - 1.0))
+
+
 def cross3(a, b) -> np.ndarray:
     """Cross product of two 3-vectors, or row-wise of two (K, 3) arrays.
 

@@ -24,11 +24,13 @@ from .errors import (
     load_json_file,
     reading,
 )
-from .geometry import RigidTransform, cross3, frozen_array, row_dot
+from .geometry import VERIFY_TOL, RigidTransform, cross3, frozen_array, rotation_residuals, row_dot
 from .hand_model import PosedHand, direction_from_joints, geometric_center
 
 # Two-finger parallel gripper jaw limit (74 mm).
 MAX_JAW_WIDTH_M = 0.074
+# Least gripper-to-hand distance a chosen grasp keeps (5 mm).
+CLEARANCE_MARGIN_M = 0.005
 # The sampler's friction cone: each contact normal must oppose the closing
 # axis within this half-angle (about 17 degrees).
 FRICTION_HALF_ANGLE = 0.3
@@ -72,7 +74,8 @@ class GraspCandidate:
 class CandidateSet:
     """K candidates as stacked arrays with one source tag per row;
     ``candidates[k]`` builds candidate k. Rotations and translations must be
-    finite; ``validate`` judges the widths and rotations."""
+    finite (ValueError), and a set is valid by construction: the first row
+    that fails first_invalid raises InvalidCandidate naming its index."""
 
     rotations: np.ndarray  # (K, 3, 3)
     translations: np.ndarray  # (K, 3)
@@ -89,6 +92,9 @@ class CandidateSet:
         object.__setattr__(self, "sources", tuple(self.sources))
         if len(self.sources) != len(widths):
             raise ValueError(f"sources must hold {len(widths)} tags, got {len(self.sources)}")
+        invalid = first_invalid(self.rotations, widths)
+        if invalid is not None:
+            raise InvalidCandidate("candidate %d: %s" % invalid)
 
     def __len__(self) -> int:
         return len(self.widths)
@@ -97,21 +103,13 @@ class CandidateSet:
         transform = RigidTransform(self.rotations[k], self.translations[k])
         return GraspCandidate(transform, float(self.widths[k]), self.sources[k])
 
-    def validate(self) -> None:
-        """InvalidCandidate naming the first bad candidate's index (first_invalid)."""
-        invalid = first_invalid(self.rotations, self.widths)
-        if invalid is not None:
-            raise InvalidCandidate("candidate %d: %s" % invalid)
-
 
 def first_invalid(rotations: np.ndarray, widths: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first of K candidates, given as (K, 3, 3)
     rotations and (K,) widths, whose width lies outside (0, MAX_JAW_WIDTH_M],
-    else whose ||R^T R - I||_F or |det R - 1| exceeds 1e-9; None if all pass."""
+    else whose rotation_residuals exceeds VERIFY_TOL; None if all pass."""
     bad_width = ~((widths > 0.0) & (widths <= MAX_JAW_WIDTH_M))
-    gram = (np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).reshape(-1, 9)
-    bad = bad_width | (np.sqrt(row_dot(gram, gram)) > 1e-9)
-    bad |= np.abs(np.linalg.det(rotations) - 1.0) > 1e-9
+    bad = bad_width | (rotation_residuals(rotations) > VERIFY_TOL)
     if not bad.any():
         return None
     k = int(np.argmax(bad))
@@ -131,7 +129,7 @@ class SelectionConfig:
 
     distance_weight: float = 1.0
     cosine_mode: str = "signed"
-    clearance_margin: float = 0.005
+    clearance_margin: float = CLEARANCE_MARGIN_M
 
     def __post_init__(self):
         if not np.isfinite(self.distance_weight) or self.distance_weight < 0:
@@ -207,7 +205,7 @@ def clearance_check(
     candidate: GraspCandidate,
     gripper: GripperGeometry,
     hand: PosedHand,
-    margin: float = 0.005,
+    margin: float = CLEARANCE_MARGIN_M,
 ) -> ClearanceResult:
     """Minimum sphere-surface to hand-vertex distance vs. the safety margin."""
     centers = candidate.transform.apply(gripper.sphere_centers)
@@ -304,7 +302,6 @@ def antipodal_candidates(cloud: ObjectCloud, count: int = 16, seed: int = 0) -> 
 
     order = np.lexsort((sep, *rotation.reshape(-1, 9).T[::-1], group[slots]))
     chosen = order[np.searchsorted(slots, ranks)]
-    # imagine_configuration validates every candidate, from any provider.
     sources = ("antipodal-sampler",) * chosen.size
     return CandidateSet(rotation[chosen], midpoint[chosen], sep[chosen], sources)
 
@@ -317,17 +314,16 @@ def save_candidates(candidates: CandidateSet, path) -> None:
 
 
 def load_candidates(path) -> CandidateSet:
-    """Every record of a JSON array parsed, then the stack validated at once:
-    a malformed record is a SchemaError before any width or rotation check."""
+    """Every record of a JSON array parsed, then stacked into one CandidateSet,
+    which judges them: a malformed record is a SchemaError before any width or
+    rotation check."""
     data = load_json_file(path)
     if not isinstance(data, list):
         raise SchemaError("grasp file must contain a JSON array")
     records = [GraspCandidate.from_dict(record) for record in data]
-    candidates = CandidateSet(
+    return CandidateSet(
         np.array([g.transform.rotation for g in records]).reshape(-1, 3, 3),
         np.array([g.transform.translation for g in records]).reshape(-1, 3),
         [g.width for g in records],
         [g.source for g in records],
     )
-    candidates.validate()
-    return candidates

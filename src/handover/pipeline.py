@@ -33,15 +33,18 @@ from .errors import (
     reading,
 )
 from .geometry import (
+    VERIFY_TOL,
     HandFrame,
     RigidTransform,
     build_frame,
     frozen_array,
     matching_transform,
     matrix_to_quat,
+    rotation_residuals,
     transform_pose,
 )
 from .grasp import (
+    CLEARANCE_MARGIN_M,
     MAX_JAW_WIDTH_M,
     CandidateSet,
     ClearanceResult,
@@ -76,6 +79,8 @@ _READABLE_CONFIG_SCHEMAS = ("handover-config/1", CONFIG_SCHEMA)
 TARGET_SCHEMA = "end-effector-target/1"
 # Little-endian float64 keeps the record's large arrays bit-exact.
 _RECORD_DTYPE = "<f8"
+# The checks validate_configuration writes, in record order.
+_VALIDATION_CHECKS = ("clearance", "grasp_rotation", "hand_frame", "jaw_width")
 
 
 # --- providers -----------------------------------------------------------------
@@ -132,6 +137,10 @@ class AntipodalGraspProvider:
     count: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.count < 1 or self.seed < 0:
+            raise ValueError(f"need count >= 1 and seed >= 0, got {self.count} and {self.seed}")
+
     def __call__(self, task: TaskDescription, cloud: ObjectCloud) -> CandidateSet:
         # Keywords: bench/tracer.py reads the count from the call's kwargs.
         return antipodal_candidates(cloud, count=self.count, seed=self.seed)
@@ -176,16 +185,20 @@ class ValidationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ValidationReport":
-        return cls(
-            checks={
-                name: CheckResult(
-                    passed=bool(rec["passed"]),
-                    measured=_record_scalar(rec["measured"], f"validation.{name}.measured"),
-                    limit=_record_scalar(rec["limit"], f"validation.{name}.limit"),
-                )
-                for name, rec in data.items()
-            }
-        )
+        """Exactly the checks validate_configuration writes, each with a JSON
+        boolean ``passed``; anything else is a SchemaError."""
+        if sorted(data) != list(_VALIDATION_CHECKS):
+            raise SchemaError(f"validation must hold the checks {_VALIDATION_CHECKS}")
+        checks = {}
+        for name, rec in data.items():
+            if not isinstance(rec["passed"], bool):
+                raise SchemaError(f"validation.{name}.passed must be true or false")
+            checks[name] = CheckResult(
+                passed=rec["passed"],
+                measured=_record_scalar(rec["measured"], f"validation.{name}.measured"),
+                limit=_record_scalar(rec["limit"], f"validation.{name}.limit"),
+            )
+        return cls(checks=checks)
 
 
 @dataclass(frozen=True)
@@ -369,7 +382,7 @@ class PipelineConfig:
 def validate_configuration(
     config: HandoverConfiguration,
     gripper: GripperGeometry | None = None,
-    min_clearance: float = 0.005,
+    min_clearance: float = CLEARANCE_MARGIN_M,
 ) -> ValidationReport:
     """Re-check hardware and geometric constraints on a configuration.
 
@@ -381,16 +394,8 @@ def validate_configuration(
         clearance = clearance_check(config.grasp, gripper, config.hand, min_clearance).min_distance
     else:
         clearance = config.selection.clearance.min_distance
-    rotation = config.grasp.transform.rotation
-    rotation_residual = float(
-        max(
-            np.abs(rotation.T @ rotation - np.eye(3)).max(),
-            abs(np.linalg.det(rotation) - 1.0),
-        )
-    )
-    frame_residual = float(
-        abs(config.hand_frame.direction @ config.hand_frame.normal)
-    )
+    rotation_residual = float(rotation_residuals(config.grasp.transform.rotation[None])[0])
+    frame_residual = float(abs(config.hand_frame.direction @ config.hand_frame.normal))
     checks = {
         "jaw_width": CheckResult(
             passed=0.0 < config.grasp.width <= MAX_JAW_WIDTH_M,
@@ -403,9 +408,9 @@ def validate_configuration(
             limit=min_clearance,
         ),
         "grasp_rotation": CheckResult(
-            passed=rotation_residual <= 1e-9,
+            passed=rotation_residual <= VERIFY_TOL,
             measured=rotation_residual,
-            limit=1e-9,
+            limit=VERIFY_TOL,
         ),
         "hand_frame": CheckResult(
             passed=frame_residual <= 1e-10,
@@ -425,9 +430,9 @@ def imagine_configuration(
 ) -> HandoverConfiguration:
     """Assemble the full object-frame handover configuration.
 
-    The provider's candidates are validated and scored as one stack (the
-    first bad one raises InvalidCandidate naming its index), then tried in
-    score order; any that fail the clearance gate are recorded and skipped.
+    The provider's candidates, valid by construction, are scored as one
+    stack, then tried in score order; any that fail the clearance gate are
+    recorded and skipped.
     If every candidate collides, the per-candidate minimum distances are
     attached to the error.
     """
@@ -442,7 +447,6 @@ def imagine_configuration(
     candidates = grasp_provider(task, cloud)
     if candidates is None or len(candidates) == 0:
         raise ProviderEmpty("grasp provider returned no candidates")
-    candidates.validate()
 
     hand = lbs_forward(config.model_for(task.handedness), hand_pose)
     ranked = rank_candidates(candidates, hand, config.selection)

@@ -175,15 +175,16 @@ def _assert_matches_reference(cloud, count, seed):
 
 
 def _reference_validate_and_rank(candidates, hand, config):
-    """imagine_configuration's per-candidate validate loop, then the
-    score_candidate loop and tuple sort that rank_candidates was written as."""
+    """The per-candidate validity loop (max-abs residual of R^T R - I, then
+    |det R - 1|, against 1e-9), then the score_candidate loop and tuple sort
+    that rank_candidates was written as."""
     for k, cand in enumerate(candidates):
         if not np.isfinite(cand.width) or not (0.0 < cand.width <= MAX_JAW_WIDTH_M):
             raise InvalidCandidate(
                 f"candidate {k}: jaw width {cand.width} m outside (0, {MAX_JAW_WIDTH_M}]"
             )
         r = cand.transform.rotation
-        if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-9 or abs(np.linalg.det(r) - 1) > 1e-9:
+        if max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1)) > 1e-9:
             raise InvalidCandidate(f"candidate {k}: candidate rotation is not a proper rotation")
     v_h = direction_from_joints(hand.joints)
     p_h = geometric_center(hand.vertices)
@@ -196,9 +197,8 @@ def _reference_validate_and_rank(candidates, hand, config):
 
 
 def _stacked_validate_and_rank(candidates, hand, config):
-    stack = candidate_set(candidates)
-    stack.validate()
-    return rank_candidates(stack, hand, config)
+    """Building the CandidateSet judges it; then one ranking pass."""
+    return rank_candidates(candidate_set(candidates), hand, config)
 
 
 def _outcome(rank, candidates, hand, config):
@@ -227,7 +227,7 @@ def _random_candidates(rng):
             elif kind == 1:
                 rotation = rotation @ np.diag([1.0, 1.0, -1.0])
             else:
-                # ||R^T R - I|| and |det R - 1| cross 1e-9 near a stretch of 3e-10.
+                # max|R^T R - I| and |det R - 1| cross 1e-9 near a stretch of 3e-10.
                 rotation = rotation * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-10.5, -8.5))
         translation = rng.uniform(-0.5, 0.5, 3)
         if rng.uniform() < 0.2:
@@ -237,8 +237,8 @@ def _random_candidates(rng):
 
 
 class TestStackedRanking:
-    """One array pass validates and scores the stack; the per-candidate loops
-    are its bitwise reference."""
+    """Construction validates the stack and one array pass scores it; the
+    per-candidate loops are its bitwise reference."""
 
     def test_random_stacks_match_per_candidate_loops(self, rest_hand, right_params, rng):
         posed = lbs_forward(
@@ -311,21 +311,23 @@ class TestCandidateSet:
             with pytest.raises(ValueError):
                 CandidateSet(*args)
 
-    def test_validate_names_the_first_bad_candidate(self):
+    def test_construction_names_the_first_bad_candidate(self):
         rotations = np.tile(np.eye(3), (6, 1, 1))
         rotations[2] = np.diag([1.0, 1.0, -1.0])
         widths = [0.04, 0.04, 0.04, 0.04, 0.09, 0.04]
         sources = ["external"] * 6
-        stack = CandidateSet(rotations, np.zeros((6, 3)), widths, sources)
         with pytest.raises(InvalidCandidate, match="^candidate 2: candidate rotation"):
-            stack.validate()
+            CandidateSet(rotations, np.zeros((6, 3)), widths, sources)
         rotations[2] = np.eye(3)
         with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
-            CandidateSet(rotations, np.zeros((6, 3)), widths, sources).validate()
+            CandidateSet(rotations, np.zeros((6, 3)), widths, sources)
         # One candidate with both faults: the width is reported, as the loop did.
         rotations[4] = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(InvalidCandidate, match=r"^candidate 4: jaw width 0\.09 m outside"):
-            CandidateSet(rotations, np.zeros((6, 3)), widths, sources).validate()
+            CandidateSet(rotations, np.zeros((6, 3)), widths, sources)
+        # Shapes are checked first: a malformed stack is a ValueError, whatever its widths.
+        with pytest.raises(ValueError):
+            CandidateSet(rotations[:5], np.zeros((6, 3)), widths, sources)
 
 
 _PERMUTED_SOURCES = {
@@ -688,7 +690,6 @@ class TestAntipodal:
         cloud = box_cloud()
         for seed in (0, 1, 2):
             candidates = antipodal_candidates(cloud, count=4, seed=seed)
-            candidates.validate()
             for cand in candidates:
                 r = cand.transform.rotation
                 assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-9
@@ -750,6 +751,21 @@ class TestCandidateFiles:
         path.write_text(json.dumps([record]))
         with pytest.raises(InvalidCandidate, match="proper rotation"):
             load_candidates(path)
+
+    def test_rotation_judged_by_max_abs_residual(self, tmp_path):
+        """max(max|R^T R - I|, |det R - 1|) <= 1e-9 is proper. The band matrix
+        reads 0.90e-9 by that rule and 1.56e-9 by the Frobenius norm, so it
+        loads; stretching one axis by 6e-10 reads 1.2e-9 and is still refused."""
+        e = 4.5e-10
+        path = tmp_path / "grasps.json"
+        for diagonal, proper in (((1 + e, 1 - e, 1 + e), True), ((1 + 6e-10, 1, 1), False)):
+            matrix = np.diag([*diagonal, 1.0])
+            path.write_text(json.dumps([{"matrix": matrix.reshape(-1).tolist(), "width_m": 0.04}]))
+            if proper:
+                assert np.array_equal(load_candidates(path).rotations[0], matrix[:3, :3])
+            else:
+                with pytest.raises(InvalidCandidate, match="^candidate 0: candidate rotation"):
+                    load_candidates(path)
 
     @pytest.mark.parametrize(
         "bad, message",

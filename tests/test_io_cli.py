@@ -512,6 +512,26 @@ class TestCli:
         assert "SchemaError" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "extra", [["--count", "0"], ["--count", "-3"], ["--seed", "-1"]],
+        ids=["count-0", "count-negative", "seed-negative"],
+    )
+    def test_bad_sampler_value_exits_2(self, workdir, capsys, extra, as_json):
+        """A usage error, reported in one line (or one JSON object), not a traceback."""
+        out = workdir / "bad_config.json"
+        argv = ["imagine", "--task", str(workdir / "task.json"),
+                "--cloud", str(workdir / "cylinder.ply"), "--sample-antipodal"]
+        rc = main(["--json"] * as_json + argv + extra + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        if as_json:
+            assert json.loads(err)["error"] == "SchemaError"
+        else:
+            assert err.startswith("handover: SchemaError: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "endpoint",
         ["x", {"timeout_s": "abc"}, {"retries": [1]}, {"timeout_s": float("nan")}],
@@ -878,6 +898,17 @@ def _reflected_rotation(matrix):
                      id="record-grasp-reflected"),
         pytest.param("--config", _edited("config.json", ("grasp", "width_m"), 5.0),
                      id="record-grasp-overwide"),
+        # A record's validation is read by the rule that wrote it: the four
+        # checks validate_configuration writes, each "passed" a JSON boolean.
+        pytest.param("--config",
+                     _edited("config.json", ("validation", "clearance", "passed"), "false"),
+                     id="record-passed-string"),
+        pytest.param("--config", _edited("config.json", ("validation",), {}),
+                     id="record-validation-empty"),
+        pytest.param("--config",
+                     _edited("config.json", ("validation",),
+                             lambda checks: {k: v for k, v in checks.items() if k != "hand_frame"}),
+                     id="record-check-missing"),
     ],
 )
 def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):

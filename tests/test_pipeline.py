@@ -234,7 +234,8 @@ class TestImagine:
 
     @pytest.mark.parametrize("width", [0.08, float("nan")], ids=["overwide", "nan"])
     def test_invalid_candidate_from_provider_rejected(self, cylinder_cloud, pipe_config, width):
-        """imagine_configuration is the one candidate check for every provider."""
+        """No provider can hand imagine_configuration a bad candidate: building
+        its CandidateSet raises."""
         bad = _approach_candidate((0, 0, 1), (0, 0, 0.1), width=width)
         with pytest.raises(InvalidCandidate):
             imagine_configuration(
@@ -248,13 +249,13 @@ class TestImagine:
     def test_invalid_candidate_names_its_index(self, cylinder_cloud, pipe_config):
         good = _approach_candidate((0, 0, 1), (0, 0, 0.1))
         overwide = _approach_candidate((0, 0, 1), (0, 0, 0.1), width=0.08)
-        candidates = candidate_set([good, good, good, overwide, good, overwide])
+        candidates = [good, good, good, overwide, good, overwide]
         with pytest.raises(InvalidCandidate, match="^candidate 3: jaw width 0.08 m"):
             imagine_configuration(
                 TaskDescription("cylinder", "right"),
                 cylinder_cloud,
                 ProceduralPoseProvider(),
-                lambda task, cloud: candidates,
+                lambda task, cloud: candidate_set(candidates),
                 pipe_config,
             )
 
@@ -439,6 +440,25 @@ class TestValidateConfiguration:
         assert report.checks["clearance"].measured == pytest.approx(
             cylinder_config.selection.clearance.min_distance
         )
+
+    def test_recorded_rotation_residual_is_the_inline_oracle(self, cylinder_cloud, box,
+                                                             pipe_config):
+        """Every sampled config writes, bitwise, max(max|R^T R - I|, |det R - 1|)
+        computed here in two dimensions without the package's helper."""
+        for cloud in (cylinder_cloud, box):
+            for handedness in ("right", "left"):
+                for seed in range(5):
+                    config = imagine_configuration(
+                        TaskDescription(cloud.name, handedness),
+                        cloud,
+                        ProceduralPoseProvider(),
+                        AntipodalGraspProvider(seed=seed),
+                        pipe_config,
+                    )
+                    r = config.grasp.transform.rotation
+                    want = max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1))
+                    record = json.loads(config.to_json_text())["validation"]["grasp_rotation"]
+                    assert record == {"passed": True, "measured": want, "limit": 1e-9}
 
     def test_custom_limits(self, cylinder_config):
         gripper = GripperGeometry.default_parallel_jaw()
