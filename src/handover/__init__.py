@@ -29,7 +29,6 @@ from .grasp import (
     antipodal_candidates,
     clearance_check,
     rank_candidates,
-    score_candidate,
 )
 from .hand_model import (
     HandModelParams,
@@ -124,7 +123,6 @@ __all__ = [
     "rot6d_to_matrix",
     "sample_receiving_pose",
     "save_hand_model",
-    "score_candidate",
     "transform_pose",
     "validate_configuration",
 ]

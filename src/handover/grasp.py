@@ -170,19 +170,17 @@ class GripperGeometry:
         return GripperGeometry(np.array(centers), np.array(radii))
 
 
-def score_candidate(v_g, p_g, v_h, p_h, config: SelectionConfig) -> float:
-    """Scalar score; lower is better under the argmin selection rule."""
-    cos = float(np.dot(v_g, v_h))
-    if config.cosine_mode == "absolute":
-        cos = abs(cos)
-    return cos - config.distance_weight * float(np.linalg.norm(np.asarray(p_g) - np.asarray(p_h)))
+# The gripper every clearance is measured against. A configuration record
+# does not name its gripper, so a loaded record is re-measured against this one.
+GRIPPER = GripperGeometry.default_parallel_jaw()
 
 
 def rank_candidates(candidates: CandidateSet, hand: PosedHand, config: SelectionConfig):
     """(index, score) pairs sorted best (lowest score) first, stable on ties, so
-    the first pair is the argmin. One array pass; each score is bitwise what
-    score_candidate gives for the approach axis (third rotation column) and
-    the grasp center (translation)."""
+    the first pair is the argmin. One array pass; a candidate's score is the
+    cosine between its approach axis (third rotation column) and the hand
+    direction, minus distance_weight times the distance from its center
+    (translation) to the hand's vertex centroid."""
     if len(candidates) == 0:
         raise EmptyCandidateSet("no grasp candidates to rank")
     v_g = candidates.rotations[:, :, 2]
@@ -209,7 +207,12 @@ def clearance_check(
 ) -> ClearanceResult:
     """Minimum sphere-surface to hand-vertex distance vs. the safety margin."""
     centers = candidate.transform.apply(gripper.sphere_centers)
-    sq = ((centers[:, None, :] - hand.vertices[None, :, :]) ** 2).sum(axis=2)
+    vertices = hand.vertices
+    # dx^2 + dy^2 + dz^2, one axis at a time: bitwise the (S, V, 3) broadcast
+    # summed over its last axis, without that temporary.
+    sq = (centers[:, 0, None] - vertices[:, 0]) ** 2
+    sq += (centers[:, 1, None] - vertices[:, 1]) ** 2
+    sq += (centers[:, 2, None] - vertices[:, 2]) ** 2
     dist = np.sqrt(sq.min(axis=1)) - gripper.sphere_radii
     min_distance = float(dist.min())
     return ClearanceResult(passed=min_distance >= margin, min_distance=min_distance)

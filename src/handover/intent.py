@@ -14,9 +14,6 @@ from __future__ import annotations
 import base64
 import json
 import re
-import socket
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -292,6 +289,11 @@ def llm_infer(config: EndpointConfig, prompt: str, image_bytes: bytes | None = N
     Transport, timeout and HTTP-status failures raise distinct errors; only
     transport/timeout failures are retried, up to config.retries extra tries.
     """
+    # Imported here: of the CLI's commands, only an endpoint query needs them.
+    import socket
+    import urllib.error
+    import urllib.request
+
     content: list[dict] = [{"type": "text", "text": prompt}]
     if image_bytes is not None:
         encoded = base64.b64encode(image_bytes).decode("ascii")

@@ -10,7 +10,7 @@ import numpy as np
 from .cloud import ObjectCloud
 from .errors import MalformedHeader, SchemaError, UnsupportedEncoding
 from .geometry import frozen_array
-from .grasp import GripperGeometry
+from .grasp import GRIPPER
 
 _FLOAT_NAMES = {"float", "float32"}
 
@@ -180,17 +180,12 @@ def tessellate_sphere(center, radius: float):
     return np.array(verts), np.array(faces, dtype=int)
 
 
-def scene_from_configuration(
-    config,
-    hand_faces: np.ndarray | None = None,
-    gripper: GripperGeometry | None = None,
-) -> SceneExport:
+def scene_from_configuration(config, hand_faces: np.ndarray | None = None) -> SceneExport:
     """Three-group scene: object cloud, hand mesh, gripper proxy spheres."""
-    gripper = gripper or GripperGeometry.default_parallel_jaw()
-    sphere_centers = config.grasp.transform.apply(gripper.sphere_centers)
+    sphere_centers = config.grasp.transform.apply(GRIPPER.sphere_centers)
     g_verts, g_faces = [], []
     offset = 0
-    for center, radius in zip(sphere_centers, gripper.sphere_radii):
+    for center, radius in zip(sphere_centers, GRIPPER.sphere_radii):
         verts, faces = tessellate_sphere(center, float(radius))
         g_verts.append(verts)
         g_faces.append(faces + offset)
@@ -255,10 +250,5 @@ def write_obj(scene: SceneExport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def export_scene(
-    config,
-    path,
-    hand_faces: np.ndarray | None = None,
-    gripper: GripperGeometry | None = None,
-) -> None:
-    write_obj(scene_from_configuration(config, hand_faces, gripper), path)
+def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:
+    write_obj(scene_from_configuration(config, hand_faces), path)

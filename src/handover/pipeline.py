@@ -12,7 +12,7 @@ pose expressed in the imagined hand frame.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
 import numpy as np
@@ -36,7 +36,6 @@ from .geometry import (
     VERIFY_TOL,
     HandFrame,
     RigidTransform,
-    build_frame,
     frozen_array,
     matching_transform,
     matrix_to_quat,
@@ -45,6 +44,7 @@ from .geometry import (
 )
 from .grasp import (
     CLEARANCE_MARGIN_M,
+    GRIPPER,
     MAX_JAW_WIDTH_M,
     CandidateSet,
     ClearanceResult,
@@ -53,7 +53,6 @@ from .grasp import (
     SelectionConfig,
     antipodal_candidates,
     clearance_check,
-    first_invalid,
     load_candidates,
     rank_candidates,
 )
@@ -79,8 +78,6 @@ _READABLE_CONFIG_SCHEMAS = ("handover-config/1", CONFIG_SCHEMA)
 TARGET_SCHEMA = "end-effector-target/1"
 # Little-endian float64 keeps the record's large arrays bit-exact.
 _RECORD_DTYPE = "<f8"
-# The checks validate_configuration writes, in record order.
-_VALIDATION_CHECKS = ("clearance", "grasp_rotation", "hand_frame", "jaw_width")
 
 
 # --- providers -----------------------------------------------------------------
@@ -183,23 +180,6 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {name: check.to_dict() for name, check in sorted(self.checks.items())}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ValidationReport":
-        """Exactly the checks validate_configuration writes, each with a JSON
-        boolean ``passed``; anything else is a SchemaError."""
-        if sorted(data) != list(_VALIDATION_CHECKS):
-            raise SchemaError(f"validation must hold the checks {_VALIDATION_CHECKS}")
-        checks = {}
-        for name, rec in data.items():
-            if not isinstance(rec["passed"], bool):
-                raise SchemaError(f"validation.{name}.passed must be true or false")
-            checks[name] = CheckResult(
-                passed=rec["passed"],
-                measured=_record_scalar(rec["measured"], f"validation.{name}.measured"),
-                limit=_record_scalar(rec["limit"], f"validation.{name}.limit"),
-            )
-        return cls(checks=checks)
-
 
 @dataclass(frozen=True)
 class SelectionRecord:
@@ -218,35 +198,58 @@ class SelectionRecord:
             "fallbacks": list(self.fallbacks),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SelectionRecord":
-        fallbacks = tuple(data.get("fallbacks", ()))
-        for k, fallback in enumerate(fallbacks):
-            _record_index(fallback["index"], f"selection.fallbacks[{k}].index")
-            _record_scalar(fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m")
-        clearance = ClearanceResult(
-            passed=True, min_distance=_record_scalar(data["clearance_m"], "selection.clearance_m")
-        )
-        return cls(
-            selected_index=_record_index(data["selected_index"], "selection.selected_index"),
-            score=_record_scalar(data["score"], "selection.score"),
-            clearance=clearance,
-            fallbacks=fallbacks,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class HandoverConfiguration:
-    """Imagined handover scene in the object frame, plus its validation."""
+    """Imagined handover scene in the object frame, plus its validation.
+
+    It is built from its inputs: the task, cloud, receiving pose, posed hand,
+    chosen grasp, how that grasp was chosen, and the clearance margin that
+    gated it. The rest is derived here, on every construction, so
+    imagine_configuration and the loader build it the same way:
+    ``hand_frame`` is hand_frame_of(hand), and ``validation`` is
+    validate_configuration against GRIPPER and the margin, whose measured
+    clearance ``selection`` records.
+    """
 
     task: TaskDescription
     cloud: ObjectCloud
     hand_pose: HandPose
     hand: PosedHand
     grasp: GraspCandidate
-    hand_frame: HandFrame
-    selection: SelectionRecord
-    validation: ValidationReport
+    selected_index: int
+    score: float
+    fallbacks: tuple[dict, ...]
+    clearance_margin: float
+    hand_frame: HandFrame = field(init=False)
+    selection: SelectionRecord = field(init=False)
+    validation: ValidationReport = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hand_frame", hand_frame_of(self.hand))
+        report = validate_configuration(self, GRIPPER, self.clearance_margin)
+        clearance = report.checks["clearance"]
+        selection = SelectionRecord(
+            self.selected_index,
+            self.score,
+            ClearanceResult(clearance.passed, clearance.measured),
+            self.fallbacks,
+        )
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "validation", report)
+
+    def _derived_json(self) -> dict:
+        """The record's parts that follow from its inputs."""
+        frame = self.hand_frame
+        return {
+            "hand_frame": {
+                "center": frame.center.tolist(),
+                "direction": frame.direction.tolist(),
+                "normal": frame.normal.tolist(),
+            },
+            "selection": self.selection.to_dict(),
+            "validation": self.validation.to_dict(),
+        }
 
     def to_json_dict(self) -> dict:
         normals = self.cloud.normals
@@ -265,26 +268,30 @@ class HandoverConfiguration:
                 "handedness": self.hand.handedness,
             },
             "grasp": self.grasp.to_dict(),
-            "hand_frame": {
-                "center": self.hand_frame.center.tolist(),
-                "direction": self.hand_frame.direction.tolist(),
-                "normal": self.hand_frame.normal.tolist(),
-            },
-            "selection": self.selection.to_dict(),
-            "validation": self.validation.to_dict(),
+            **self._derived_json(),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandoverConfiguration":
+        """Parse a record's inputs and derive the rest. The clearance margin
+        is read from ``validation.clearance.limit``. A record whose stored
+        hand_frame, selection or validation differs from the derived one, as
+        JSON text, is a SchemaError naming that part."""
         if not isinstance(data, dict) or data.get("schema") not in _READABLE_CONFIG_SCHEMAS:
             raise SchemaError(f"expected one of the schemas {_READABLE_CONFIG_SCHEMAS}")
         with reading("configuration record"):
-            frame_rec, cloud_rec, hand_rec = data["hand_frame"], data["cloud"], data["hand"]
-            # Checked before build_frame, whose normalising would turn inf into NaN.
-            frame = build_frame(
-                *(frozen_array(frame_rec[k], (3,), ValueError, f"hand_frame.{k}")
-                  for k in ("center", "direction", "normal"))
+            cloud_rec, hand_rec, selection = data["cloud"], data["hand"], data["selection"]
+            margin = _record_scalar(
+                data["validation"]["clearance"]["limit"], "validation.clearance.limit"
             )
+            if margin <= 0:
+                raise ValueError("validation.clearance.limit must be positive")
+            fallbacks = tuple(selection["fallbacks"])
+            for k, fallback in enumerate(fallbacks):
+                _record_index(fallback["index"], f"selection.fallbacks[{k}].index")
+                _record_scalar(
+                    fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m"
+                )
             normals = cloud_rec.get("normals")
             config = cls(
                 task=TaskDescription.from_dict(data["task"]),
@@ -306,16 +313,18 @@ class HandoverConfiguration:
                     handedness=hand_rec["handedness"],
                 ),
                 grasp=GraspCandidate.from_dict(data["grasp"]),
-                hand_frame=frame,
-                selection=SelectionRecord.from_dict(data["selection"]),
-                validation=ValidationReport.from_dict(data["validation"]),
+                selected_index=_record_index(
+                    selection["selected_index"], "selection.selected_index"
+                ),
+                score=_record_scalar(selection["score"], "selection.score"),
+                fallbacks=fallbacks,
+                clearance_margin=margin,
             )
-            # Once every field has parsed: the rule each candidate passed
-            # before it could be chosen.
-            grasp = config.grasp
-            invalid = first_invalid(grasp.transform.rotation[None], np.array([grasp.width]))
-            if invalid is not None:
-                raise ValueError(f"grasp {invalid[1]}")
+            for name, derived in config._derived_json().items():
+                if json.dumps(derived, sort_keys=True) != json.dumps(data[name], sort_keys=True):
+                    raise ValueError(
+                        f"{name} is not what the record's inputs give; re-run imagine to rewrite it"
+                    )
         return config
 
     def to_json_text(self) -> str:
@@ -351,11 +360,15 @@ def load_configuration(path) -> HandoverConfiguration:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Models, scoring and gripper proxy shared by pipeline invocations."""
+    """Models and scoring shared by pipeline invocations."""
 
     hand_models: Mapping[str, HandModelParams]
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    gripper: GripperGeometry = field(default_factory=GripperGeometry.default_parallel_jaw)
+
+    @property
+    def gripper(self) -> GripperGeometry:
+        """The gripper proxy: always GRIPPER, which records are re-measured against."""
+        return GRIPPER
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
@@ -381,19 +394,16 @@ class PipelineConfig:
 
 def validate_configuration(
     config: HandoverConfiguration,
-    gripper: GripperGeometry | None = None,
+    gripper: GripperGeometry = GRIPPER,
     min_clearance: float = CLEARANCE_MARGIN_M,
 ) -> ValidationReport:
-    """Re-check hardware and geometric constraints on a configuration.
+    """Check hardware and geometric constraints on a configuration's grasp,
+    hand and hand frame.
 
-    The jaw width is checked against MAX_JAW_WIDTH_M. When no gripper proxy
-    is passed, the clearance recorded at assembly time is judged against
-    ``min_clearance`` instead of being re-measured.
+    The jaw width is checked against MAX_JAW_WIDTH_M, and the clearance is
+    measured with ``gripper`` and judged against ``min_clearance``.
     """
-    if gripper is not None:
-        clearance = clearance_check(config.grasp, gripper, config.hand, min_clearance).min_distance
-    else:
-        clearance = config.selection.clearance.min_distance
+    clearance = clearance_check(config.grasp, gripper, config.hand, min_clearance).min_distance
     rotation_residual = float(rotation_residuals(config.grasp.transform.rotation[None])[0])
     frame_residual = float(abs(config.hand_frame.direction @ config.hand_frame.normal))
     checks = {
@@ -451,33 +461,22 @@ def imagine_configuration(
     hand = lbs_forward(config.model_for(task.handedness), hand_pose)
     ranked = rank_candidates(candidates, hand, config.selection)
 
+    margin = config.selection.clearance_margin
     fallbacks: list[dict] = []
     for index, score in ranked:
         grasp = candidates[index]
-        clearance = clearance_check(
-            grasp, config.gripper, hand, config.selection.clearance_margin
-        )
+        clearance = clearance_check(grasp, GRIPPER, hand, margin)
         if clearance.passed:
             break
         fallbacks.append({"index": index, "min_distance_m": clearance.min_distance})
     else:
         raise AllCandidatesCollide([f["min_distance_m"] for f in fallbacks])
 
-    config_out = HandoverConfiguration(
-        task=task,
-        cloud=cloud,
-        hand_pose=hand_pose,
-        hand=hand,
-        grasp=grasp,
-        hand_frame=hand_frame_of(hand),
-        selection=SelectionRecord(index, score, clearance, tuple(fallbacks)),
-        validation=ValidationReport(checks={}),
+    # Validated against the margin that gated selection, so an emitted
+    # configuration passes its own report.
+    return HandoverConfiguration(
+        task, cloud, hand_pose, hand, grasp, index, score, tuple(fallbacks), margin
     )
-    # validate against the margin that actually gated selection, so an
-    # emitted configuration always passes its own report; the clearance was
-    # measured for the chosen candidate above and is not measured again
-    report = validate_configuration(config_out, None, config.selection.clearance_margin)
-    return replace(config_out, validation=report)
 
 
 @dataclass(frozen=True, eq=False)

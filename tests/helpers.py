@@ -3,7 +3,7 @@
 import numpy as np
 
 from handover.geometry import HandFrame, build_frame, quat_canonical, quat_to_matrix
-from handover.grasp import CandidateSet
+from handover.grasp import CandidateSet, SelectionConfig
 from handover.synthetic import receiving_pose_for
 
 
@@ -52,3 +52,20 @@ def candidate_set(candidates) -> CandidateSet:
         [c.width for c in candidates],
         [c.source for c in candidates],
     )
+
+
+def score_candidate(v_g, p_g, v_h, p_h, config: SelectionConfig) -> float:
+    """One candidate's score, the reference that rank_candidates' array pass
+    matches: lower is better under the argmin selection rule."""
+    cos = float(np.dot(v_g, v_h))
+    if config.cosine_mode == "absolute":
+        cos = abs(cos)
+    return cos - config.distance_weight * float(np.linalg.norm(np.asarray(p_g) - np.asarray(p_h)))
+
+
+def broadcast_clearance(candidate, gripper, hand) -> float:
+    """Least sphere-surface to hand-vertex distance by the (S, V, 3) broadcast,
+    the reference for clearance_check's per-axis sum."""
+    centers = candidate.transform.apply(gripper.sphere_centers)
+    sq = ((centers[:, None, :] - hand.vertices[None, :, :]) ** 2).sum(axis=2)
+    return float((np.sqrt(sq.min(axis=1)) - gripper.sphere_radii).min())

@@ -26,9 +26,17 @@ from handover.grasp import (
     load_candidates,
     rank_candidates,
     save_candidates,
-    score_candidate,
 )
-from handover.hand_model import HandPose, direction_from_joints, geometric_center, lbs_forward
+from handover.hand_model import (
+    MIDDLE_TIP,
+    NUM_KEYPOINTS,
+    NUM_VERTICES,
+    HandPose,
+    PosedHand,
+    direction_from_joints,
+    geometric_center,
+    lbs_forward,
+)
 from handover.intent import TaskDescription
 from handover.pipeline import (
     AntipodalGraspProvider,
@@ -37,8 +45,9 @@ from handover.pipeline import (
     imagine_configuration,
 )
 from handover.synthetic import box_cloud, cylinder_cloud, synthetic_hand_params
+from handover.wrist import sample_receiving_pose
 
-from helpers import candidate_set, random_rotation
+from helpers import broadcast_clearance, candidate_set, random_rotation, score_candidate
 
 
 @pytest.fixture(scope="module")
@@ -391,9 +400,18 @@ def test_permuted_tie_free_cloud_gives_the_same_candidates_and_grasp(shape, size
     assert np.allclose(aligned[0], grasps[0].transform.rotation, rtol=0.0, atol=1e-12)
 
 
-def _rank_score(candidate, hand):
+def _rank_score(candidate, hand, config=SelectionConfig()):
     """The score rank_candidates gives one candidate."""
-    return rank_candidates(candidate_set([candidate]), hand, SelectionConfig())[0][1]
+    return rank_candidates(candidate_set([candidate]), hand, config)[0][1]
+
+
+def _score(v_g, p_g, v_h, config):
+    """rank_candidates' score of a candidate approaching along v_g from p_g,
+    for a hand pointing along v_h whose vertex centroid is the origin."""
+    joints = np.zeros((NUM_KEYPOINTS, 3))
+    joints[MIDDLE_TIP] = v_h
+    hand = PosedHand(np.zeros((NUM_VERTICES, 3)), joints, "right")
+    return _rank_score(_candidate_with_approach(v_g, p_g), hand, config)
 
 
 class TestCenterAndDirection:
@@ -425,26 +443,23 @@ class TestScore:
     def test_antiparallel_far(self):
         cfg = SelectionConfig(distance_weight=1.0, cosine_mode="signed")
         v_h = np.array([1.0, 0.0, 0.0])
-        score = score_candidate(-v_h, (0.3, 0, 0), v_h, (0, 0, 0), cfg)
-        assert score == pytest.approx(-1.3)
+        assert _score(-v_h, (0.3, 0, 0), v_h, cfg) == pytest.approx(-1.3)
 
     def test_perpendicular(self):
         cfg = SelectionConfig()
-        score = score_candidate((0, 1, 0), (0.1, 0, 0), (1, 0, 0), (0, 0, 0), cfg)
-        assert score == pytest.approx(-0.1)
+        assert _score((0, 1, 0), (0.1, 0, 0), (1, 0, 0), cfg) == pytest.approx(-0.1)
 
     def test_absolute_mode(self):
         cfg = SelectionConfig(cosine_mode="absolute")
         v_h = np.array([1.0, 0.0, 0.0])
-        score = score_candidate(-v_h, (0.3, 0, 0), v_h, (0, 0, 0), cfg)
-        assert score == pytest.approx(0.7)
+        assert _score(-v_h, (0.3, 0, 0), v_h, cfg) == pytest.approx(0.7)
 
     def test_score_decreases_with_distance(self, rng):
         for mode in ("signed", "absolute"):
             cfg = SelectionConfig(cosine_mode=mode)
             v = np.array([0.0, 1.0, 0.0])
-            near = score_candidate(v, (0.1, 0, 0), v, (0, 0, 0), cfg)
-            far = score_candidate(v, (0.5, 0, 0), v, (0, 0, 0), cfg)
+            near = _score(v, (0.1, 0, 0), v, cfg)
+            far = _score(v, (0.5, 0, 0), v, cfg)
             assert far < near
 
     def test_bad_config_rejected(self):
@@ -572,6 +587,24 @@ class TestClearance:
                 for v in rest_hand.vertices
             )
             assert result.min_distance == pytest.approx(oracle, abs=1e-12)
+
+    def test_bitwise_equal_to_broadcast_reference(self, right_params, left_params, rng):
+        """Random sphere sets against random posed, moved hands of both sides."""
+        for k in range(100):
+            params = (right_params, left_params)[k % 2]
+            sample = sample_receiving_pose(rng.uniform(-90, 90, 3), handedness=params.handedness)
+            posed = lbs_forward(params, sample.pose)
+            motion = RigidTransform(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
+            hand = PosedHand(motion.apply(posed.vertices), motion.apply(posed.joints),
+                             params.handedness)
+            spheres = int(rng.integers(1, 9))
+            geom = GripperGeometry(rng.uniform(-0.1, 0.1, (spheres, 3)),
+                                   rng.uniform(0.001, 0.03, spheres))
+            cand = _candidate(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
+            got = clearance_check(cand, geom, hand).min_distance
+            assert np.float64(got).tobytes() == np.float64(
+                broadcast_clearance(cand, geom, hand)
+            ).tobytes()
 
     def test_invariant_under_joint_rigid_motion(self, rest_hand, rng):
         from handover.hand_model import PosedHand

@@ -386,8 +386,10 @@ class TestCli:
         argv = ["imagine", "--task", str(workdir / "task.json"), "--cloud",
                 str(workdir / "cylinder.ply"), "--sample-antipodal", "--out", str(config_path)]
         assert main(argv) == 0
+        # A record that fails its check honestly: its stored report is the one
+        # the stricter margin gives, so it loads, and match refuses it.
         doc = json.loads(config_path.read_text())
-        doc["validation"]["clearance"].update(passed=False, measured=-0.02)
+        doc["validation"]["clearance"].update(passed=False, limit=0.1)
         config_path.write_text(json.dumps(doc))
         target_path = workdir / "target.json"
         capsys.readouterr()
@@ -909,6 +911,31 @@ def _reflected_rotation(matrix):
                      _edited("config.json", ("validation",),
                              lambda checks: {k: v for k, v in checks.items() if k != "hand_frame"}),
                      id="record-check-missing"),
+        # A record's hand frame, clearance and checks are derived from its
+        # inputs on load; a stored one that differs is refused.
+        pytest.param("--config",
+                     _edited("config.json", ("validation", "clearance"),
+                             {"passed": True, "measured": -0.02, "limit": 0.005}),
+                     id="record-clearance-lie"),
+        pytest.param("--config", _edited("config.json", ("validation", "grasp_rotation", "limit"),
+                                         1.0),
+                     id="record-rotation-limit-1"),
+        pytest.param("--config", _edited("config.json", ("hand_frame", "center", 0),
+                                         lambda x: x + 0.01),
+                     id="record-center-edited"),
+        pytest.param("--config", _edited("config.json", ("hand_frame", "direction"),
+                                         lambda d: [-v for v in d]),
+                     id="record-direction-edited"),
+        pytest.param("--config", _edited("config.json", ("selection", "clearance_m"),
+                                         lambda x: x + 0.01),
+                     id="record-selection-clearance-edited"),
+        pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), 0),
+                     id="record-clearance-limit-0"),
+        pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), -1),
+                     id="record-clearance-limit-negative"),
+        pytest.param("--config",
+                     _edited("config.json", ("validation", "clearance", "limit"), "0.005"),
+                     id="record-clearance-limit-string"),
     ],
 )
 def test_bad_value_exits_2(json_inputs, tmp_path, capsys, flag, build):

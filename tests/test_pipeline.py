@@ -24,7 +24,7 @@ from handover.geometry import (
     quat_to_matrix,
     rot_z,
 )
-from handover.grasp import GraspCandidate, GripperGeometry
+from handover.grasp import GraspCandidate, GripperGeometry, clearance_check
 from handover.hand_model import (
     HandPose,
     direction_from_joints,
@@ -200,14 +200,16 @@ class TestImagine:
         assert config.selection.fallbacks[0]["index"] == 0
         assert config.selection.fallbacks[0]["min_distance_m"] < 0.005
 
-    def test_clearance_measured_once_when_best_passes(self, cylinder_cloud, pipe_config,
-                                                      monkeypatch):
+    def test_only_the_chosen_grasp_is_measured_when_best_passes(self, cylinder_cloud,
+                                                                pipe_config, monkeypatch):
+        """Once at the gate, and once where the configuration derives its
+        clearance; no other candidate is measured."""
         calls = []
         original = pipeline.clearance_check
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(candidate, *args, **kwargs):
+            calls.append(candidate)
+            return original(candidate, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "clearance_check", counting)
         config = imagine_configuration(
@@ -218,7 +220,9 @@ class TestImagine:
             pipe_config,
         )
         assert config.selection.fallbacks == ()
-        assert len(calls) == 1
+        assert len(calls) == 2
+        for grasp in calls:
+            assert np.array_equal(grasp.transform.as_matrix(), config.grasp.transform.as_matrix())
         assert config.validation.checks["clearance"].measured == config.selection.clearance.min_distance
 
     def test_missing_hand_model_raises(self, cylinder_cloud):
@@ -435,11 +439,15 @@ class TestValidateConfiguration:
         assert not report.checks["clearance"].passed
         assert report.checks["clearance"].measured < 0.0
 
-    def test_stored_clearance_used_without_gripper(self, cylinder_config):
-        report = validate_configuration(cylinder_config, gripper=None)
-        assert report.checks["clearance"].measured == pytest.approx(
-            cylinder_config.selection.clearance.min_distance
-        )
+    def test_recorded_clearance_is_the_remeasured_one(self, cylinder_config):
+        config = cylinder_config
+        measured = clearance_check(
+            config.grasp, GripperGeometry.default_parallel_jaw(), config.hand
+        ).min_distance
+        record = json.loads(config.to_json_text())
+        for recorded in (record["selection"]["clearance_m"],
+                         record["validation"]["clearance"]["measured"]):
+            assert np.float64(recorded).tobytes() == np.float64(measured).tobytes()
 
     def test_recorded_rotation_residual_is_the_inline_oracle(self, cylinder_cloud, box,
                                                              pipe_config):
