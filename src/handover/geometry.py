@@ -16,7 +16,9 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +62,11 @@ def frozen_array(
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _holds_bool(value) -> bool:
     """Whether nested lists hold a boolean, which numpy reads as 0 or 1 beside
     numbers."""
@@ -73,10 +80,19 @@ def _vec3(value, name: str = "vector") -> np.ndarray:
     return v
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D float array, bitwise ``np.linalg.norm(v)``
+    without its per-call overhead: the square root of the same dot product of
+    the same contiguous copy. A strided view dotted in place can round
+    differently."""
+    x = v.ravel()
+    return math.sqrt(x.dot(x))
+
+
 def unit(value, name: str = "vector") -> np.ndarray:
     """Normalize to unit length, raising DegenerateDirection at norm <= 1e-9."""
     v = _vec3(value, name)
-    n = float(np.linalg.norm(v))
+    n = norm(v)
     if n <= 1e-9:
         raise DegenerateDirection(f"{name} has norm {n:.3e}")
     return v / n
@@ -124,6 +140,11 @@ class RigidTransform:
             object.__setattr__(
                 self, name, frozen_array(getattr(self, name), shape, ValueError, name)
             )
+
+    @cached_property
+    def quaternion(self) -> np.ndarray:
+        """matrix_to_quat(rotation), computed once, read-only."""
+        return _read_only(matrix_to_quat(self.rotation))
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -181,10 +202,11 @@ class HandFrame:
                 self, name, frozen_array(getattr(self, name), (3,), ValueError, name)
             )
 
-    @property
+    @cached_property
     def rotation(self) -> np.ndarray:
+        """[d, p x d, p], computed once, read-only."""
         d, p = self.direction, self.normal
-        return np.column_stack([d, cross3(p, d), p])
+        return _read_only(np.column_stack([d, cross3(p, d), p]))
 
     def as_transform(self) -> RigidTransform:
         return RigidTransform(self.rotation, self.center)
@@ -230,7 +252,7 @@ def transform_pose(position, quaternion, transform: RigidTransform):
     p = _vec3(position, "position")
     q = _as_unit_quat(quaternion)
     p_out = transform.rotation @ p + transform.translation
-    q_out = quat_multiply(matrix_to_quat(transform.rotation), q)
+    q_out = quat_multiply(transform.quaternion, q)
     return p_out, quat_canonical(q_out)
 
 
@@ -300,7 +322,7 @@ def _as_unit_quat(q) -> np.ndarray:
     arr = np.asarray(q, dtype=float).reshape(-1)
     if arr.shape != (4,):
         raise ValueError(f"quaternion must have 4 entries, got {arr.shape}")
-    n = float(np.linalg.norm(arr))
+    n = norm(arr)
     if abs(n - 1.0) > QUAT_NORM_TOL:
         raise NonUnitQuaternion(f"quaternion norm {n:.8f} deviates from 1")
     return arr / n
@@ -308,8 +330,8 @@ def _as_unit_quat(q) -> np.ndarray:
 
 def quat_canonical(q) -> np.ndarray:
     """Flip sign so w >= 0 (first non-zero component positive on w == 0)."""
-    arr = np.asarray(q, dtype=float).copy()
-    for component in arr:
+    arr = np.array(q, dtype=float)
+    for component in arr.tolist():
         if component > 0.0:
             return arr
         if component < 0.0:
@@ -319,8 +341,8 @@ def quat_canonical(q) -> np.ndarray:
 
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product a (x) b; R(a (x) b) = R(a) @ R(b)."""
-    aw, ax, ay, az = np.asarray(a, dtype=float)
-    bw, bx, by, bz = np.asarray(b, dtype=float)
+    aw, ax, ay, az = np.asarray(a, dtype=float).tolist()
+    bw, bx, by, bz = np.asarray(b, dtype=float).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -347,28 +369,29 @@ def matrix_to_quat(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected 3x3 matrix, got {m.shape}")
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if trace > max(m[0, 0], m[1, 1], m[2, 2]):
-        s = np.sqrt(trace + 1.0) * 2.0
-        q = np.array(
-            [
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            ]
-        )
+    m = m.tolist()
+    diagonal = [m[0][0], m[1][1], m[2][2]]
+    trace = diagonal[0] + diagonal[1] + diagonal[2]
+    top = max(diagonal)
+    if trace > top:
+        s = math.sqrt(trace + 1.0) * 2.0
+        q = [
+            0.25 * s,
+            (m[2][1] - m[1][2]) / s,
+            (m[0][2] - m[2][0]) / s,
+            (m[1][0] - m[0][1]) / s,
+        ]
     else:
-        i = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
+        i = diagonal.index(top)
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(m[i, i] - m[j, j] - m[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (m[k, j] - m[j, k]) / s
+        s = math.sqrt(m[i][i] - m[j][j] - m[k][k] + 1.0) * 2.0
+        q = [0.0] * 4
+        q[0] = (m[k][j] - m[j][k]) / s
         q[1 + i] = 0.25 * s
-        q[1 + j] = (m[j, i] + m[i, j]) / s
-        q[1 + k] = (m[k, i] + m[i, k]) / s
-    q /= np.linalg.norm(q)
-    return quat_canonical(q)
+        q[1 + j] = (m[j][i] + m[i][j]) / s
+        q[1 + k] = (m[k][i] + m[i][k]) / s
+    q = np.array(q)
+    return quat_canonical(q / norm(q))
 
 
 # --- elementary rotations -----------------------------------------------------

@@ -253,7 +253,9 @@ def antipodal_candidates(cloud: ObjectCloud, count: int = 16, seed: int = 0) -> 
         # Flat indices and divmod: cheaper than the 2-D nonzero, same order.
         ii, jj = np.divmod(np.flatnonzero(np.triu(kept, k=1)), n_points)
     else:
-        n_pairs = max(count * 200, 2000)
+        # No more than the cloud's n(n-1)/2 distinct pairs: past that, a larger
+        # count would only cost memory.
+        n_pairs = min(max(count * 200, 2000), n_points * (n_points - 1) // 2)
         ii = rng.integers(0, n_points, size=n_pairs)
         jj = rng.integers(0, n_points, size=n_pairs)
         keep = ii < jj

@@ -39,7 +39,7 @@ from .errors import (
     load_json_file,
     reading,
 )
-from .geometry import HandFrame, build_frame, cross3, frozen_array, rot6d_to_matrices
+from .geometry import HandFrame, build_frame, cross3, frozen_array, norm, rot6d_to_matrices
 
 NUM_VERTICES = 778
 NUM_JOINTS = 16
@@ -292,9 +292,10 @@ def direction_from_joints(joints) -> np.ndarray:
     """Unit vector from the wrist to the middle fingertip."""
     j = np.asarray(joints, dtype=float)
     span = j[MIDDLE_TIP] - j[WRIST]
-    if np.linalg.norm(span) < 1e-6:
+    length = norm(span)
+    if length < 1e-6:
         raise DegenerateDirection("wrist and middle fingertip coincide")
-    return span / np.linalg.norm(span)
+    return span / length
 
 
 def normal_from_joints(joints, handedness: str) -> np.ndarray:
@@ -306,10 +307,11 @@ def normal_from_joints(joints, handedness: str) -> np.ndarray:
     """
     j = np.asarray(joints, dtype=float)
     raw = cross3(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
-    if np.linalg.norm(raw) < 1e-9:
+    length = norm(raw)
+    if length < 1e-9:
         raise DegenerateNormal("wrist, index base and pinky base are collinear")
     sign = 1.0 if handedness == "right" else -1.0
-    return sign * raw / np.linalg.norm(raw)
+    return sign * raw / length
 
 
 def classify_handedness(joints) -> str:

@@ -38,7 +38,6 @@ from .geometry import (
     RigidTransform,
     frozen_array,
     matching_transform,
-    matrix_to_quat,
     rotation_residuals,
     transform_pose,
 )
@@ -501,9 +500,7 @@ def transport_grasp(
 ) -> EndEffectorTarget:
     """Carry a grasp pose from the imagined hand frame onto the real one."""
     carry = matching_transform(imagined, real)
-    position, quaternion = transform_pose(
-        grasp.translation, matrix_to_quat(grasp.rotation), carry
-    )
+    position, quaternion = transform_pose(grasp.translation, grasp.quaternion, carry)
     return EndEffectorTarget(position=position, quaternion=quaternion, transform=carry)
 
 

@@ -19,11 +19,22 @@ from handover.geometry import (
     quat_to_matrix,
     rot6d_to_matrix,
     rot_x,
+    rot_y,
     rot_z,
     transform_pose,
+    unit,
 )
 
-from helpers import random_frame, random_quaternion, random_rotation, random_unit
+from helpers import (
+    random_frame,
+    random_quaternion,
+    random_rotation,
+    random_unit,
+    reference_matrix_to_quat,
+    reference_quat_canonical,
+    reference_quat_multiply,
+    reference_unit,
+)
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=32)
 vec3 = st.tuples(finite, finite, finite)
@@ -250,6 +261,102 @@ class TestQuaternions:
         r = random_rotation(np.random.default_rng(seed))
         q = matrix_to_quat(r)
         assert np.allclose(quat_to_matrix(q), r, atol=1e-12)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _shepperd_branch(m) -> str:
+    diagonal = np.diag(m)
+    return "trace" if diagonal.sum() > diagonal.max() else f"i={int(np.argmax(diagonal))}"
+
+
+class TestPrimitivesAgainstNumpyScalarReference:
+    """The Python-float and one-norm forms of the per-frame primitives give
+    the bytes their numpy-scalar, np.linalg.norm forms in helpers give."""
+
+    def test_matrix_to_quat_reaches_every_shepperd_branch(self, rng):
+        # Half-turns about x, y and z, and rotations near them, pick i = 0, 1, 2.
+        near = [rot(np.pi - 0.3 * rng.random()) @ rot_z(0.05) for rot in (rot_x, rot_y, rot_z)]
+        matrices = [np.eye(3), rot_x(np.pi), rot_y(np.pi), rot_z(np.pi), *near]
+        matrices += [random_rotation(rng) for _ in range(2000)]
+        # Scaled and perturbed, the arithmetic runs on inputs that are no rotation.
+        matrices += [1.5 * m + 1e-3 * rng.normal(size=(3, 3)) for m in matrices[:200]]
+        branches = set()
+        for m in matrices:
+            branches.add(_shepperd_branch(m))
+            assert _same_bytes(matrix_to_quat(m), reference_matrix_to_quat(m)), m
+        assert branches == {"trace", "i=0", "i=1", "i=2"}
+
+    def test_quat_multiply(self, rng):
+        for _ in range(1000):
+            a, b = rng.normal(size=(2, 4)) * rng.uniform(0.1, 10.0)
+            assert _same_bytes(quat_multiply(a, b), reference_quat_multiply(a, b))
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            (0.0, 0.0, -1.0, 2.0),
+            (0.0, 0.0, 1.0, -2.0),
+            (-0.0, -0.0, 0.0, -1.0),
+            (0.0, -0.0, 0.0, 1.0),
+            (0.0, 0.0, 0.0, 0.0),
+            (-0.0, 0.0, -0.0, 0.0),
+            (-0.5, 0.5, -0.5, 0.5),
+            (0.5, -0.5, 0.5, -0.5),
+        ],
+    )
+    def test_quat_canonical_sign_cases(self, q):
+        got = quat_canonical(q)
+        assert _same_bytes(got, reference_quat_canonical(q))
+        assert _same_bytes(quat_canonical(np.array(q)), got)
+
+    def test_quat_canonical_random(self, rng):
+        for _ in range(1000):
+            q = rng.normal(size=4)
+            q[rng.random(4) < 0.2] = 0.0
+            assert _same_bytes(quat_canonical(q), reference_quat_canonical(q))
+
+    def test_unit_on_arrays_and_strided_views(self, rng):
+        # A strided view dotted in place rounds differently from a copy, so
+        # the columns check that unit takes the norm np.linalg.norm takes.
+        for _ in range(2000):
+            m = rng.normal(size=(3, 3)) * rng.uniform(1e-6, 1e3)
+            for v in (m[0], m[:, 1], m[::-1, 2], list(m[2])):
+                assert _same_bytes(unit(v), reference_unit(v, "vector"))
+
+    def test_unit_refuses_as_before(self):
+        with pytest.raises(DegenerateDirection, match=r"^direction has norm 1\.000e-10$"):
+            unit((1e-10, 0.0, 0.0), name="direction")
+
+
+class TestCachedArrays:
+    def test_frame_rotation_is_read_only_and_fresh(self, rng):
+        for _ in range(20):
+            frame = random_frame(rng)
+            rotation = frame.rotation
+            assert rotation is frame.rotation
+            d, p = frame.direction, frame.normal
+            assert _same_bytes(rotation, np.column_stack([d, np.cross(p, d), p]))
+            with pytest.raises(ValueError):
+                rotation[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                rotation[:] = 0.0
+
+    def test_transform_quaternion_is_read_only_and_fresh(self, rng):
+        for _ in range(20):
+            transform = RigidTransform(random_rotation(rng), rng.uniform(-1, 1, 3))
+            quaternion = transform.quaternion
+            assert quaternion is transform.quaternion
+            assert _same_bytes(quaternion, matrix_to_quat(transform.rotation))
+            assert _same_bytes(quaternion, reference_matrix_to_quat(transform.rotation))
+            with pytest.raises(ValueError):
+                quaternion[0] = 1.0
+        # Derived transforms compute their own.
+        inverse = transform.inverse()
+        assert _same_bytes(inverse.quaternion, matrix_to_quat(inverse.rotation))
 
 
 class TestRigidTransform:

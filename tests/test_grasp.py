@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def _reference_antipodal(cloud, count, seed):
     if n_points <= 256:
         raw = _reference_all_pairs(cloud)
     else:
-        n_pairs = max(count * 200, 2000)
+        n_pairs = min(max(count * 200, 2000), n_points * (n_points - 1) // 2)
         ii = rng.integers(0, n_points, size=n_pairs)
         jj = rng.integers(0, n_points, size=n_pairs)
         keep = ii < jj
@@ -676,6 +677,24 @@ class TestAntipodal:
         ]
         if cloud.name == "box":
             assert max(emitted[2::3]) < 40
+
+    def test_random_pair_draw_stops_growing_with_count(self):
+        """The draw is capped at the cloud's n(n-1)/2 distinct pairs, so one
+        call's memory stops growing with count once the cap binds."""
+        cloud = cylinder_cloud(rings=15, per_ring=20)  # 300 points: 44850 pairs
+        peaks = []
+        for count in (10**3, 10**4):  # 200k and 2M pairs uncapped
+            tracemalloc.start()
+            try:
+                antipodal_candidates(cloud, count=count, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Uncapped, the peaks were 8.4 and 84 MiB.
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert peaks[1] < 4 * 2**20
+        # Above the cap the sampler still matches the reference loop.
+        _assert_matches_reference(_RANDOM_PAIR_CLOUDS[0], 300, 0)
 
     def test_box_widths_within_jaw_range(self):
         cloud = box_cloud(size=(0.11, 0.09, 0.05))

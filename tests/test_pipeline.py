@@ -26,6 +26,10 @@ from handover.geometry import (
 )
 from handover.grasp import GraspCandidate, GripperGeometry, clearance_check
 from handover.hand_model import (
+    INDEX_BASE,
+    MIDDLE_TIP,
+    PINKY_BASE,
+    WRIST,
     HandPose,
     direction_from_joints,
     frame_from_joints,
@@ -48,7 +52,13 @@ from handover.pipeline import (
     validate_configuration,
 )
 
-from helpers import candidate_set, default_pose_library, random_frame, random_rotation
+from helpers import (
+    candidate_set,
+    default_pose_library,
+    random_frame,
+    random_rotation,
+    reference_match,
+)
 
 
 def _approach_candidate(approach, translation, width=0.04):
@@ -407,6 +417,80 @@ class TestMatch:
             )
             rhs = imagined.as_transform().inverse().compose(grasp)
             assert np.allclose(lhs.as_matrix(), rhs.as_matrix(), atol=1e-9)
+
+
+def _match_outcome(match, config, observed):
+    """The bytes of a match's position, quaternion and transform, or the
+    type and message of its refusal."""
+    try:
+        position, quaternion, matrix = match(config, observed)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc).__name__, str(exc)
+    return "target", position.tobytes(), quaternion.tobytes(), matrix.tobytes()
+
+
+def _package_match(config, observed):
+    target = match_to_observation(config, observed)
+    return target.position, target.quaternion, target.transform.as_matrix()
+
+
+class TestPerFrameReference:
+    def _crafted_frames(self, config):
+        """Frames that reach the refusals random motion does not."""
+        j = config.hand.joints
+        no_direction = j.copy()
+        no_direction[MIDDLE_TIP] = j[WRIST]
+        palm = np.cross(j[INDEX_BASE] - j[WRIST], j[PINKY_BASE] - j[WRIST])
+        along_normal = j.copy()
+        along_normal[MIDDLE_TIP] = j[WRIST] + 10.0 * palm
+        not_finite = j.copy()
+        not_finite[4, 2] = np.inf
+        mirrored = j * np.array([1.0, -1.0, 1.0])
+        return [no_direction, along_normal, not_finite, mirrored, 1e-4 * j, np.zeros((21, 3))]
+
+    def test_bitwise_equal_to_reference_on_seeded_frames(self):
+        """1200 moved, noisy frames plus crafted ones, over cylinder and box
+        configurations of both hands and one that failed validation, drawn
+        in random order: each configuration's cached rotation and quaternion
+        serve many frames and must never reach another's."""
+        configs = [
+            _imagined(shape, hand) for shape in ("cylinder", "box") for hand in ("right", "left")
+        ]
+        wide = GraspCandidate(configs[0].grasp.transform, width=0.08)
+        configs.append(dataclasses.replace(configs[0], grasp=wide))
+        rng = np.random.default_rng(2024)
+        frames = []
+        for k in range(1200):
+            c = int(rng.integers(len(configs)))
+            motion = RigidTransform(random_rotation(rng), rng.uniform(-1.0, 1.0, 3))
+            noise = 1e-3 * (0.0, 2.0, 5.0)[k % 3] * rng.normal(size=(21, 3))
+            frames.append((c, motion.apply(configs[c].hand.joints) + noise))
+        for c in range(4):
+            frames += [(c, observed) for observed in self._crafted_frames(configs[c])]
+        seen = set()
+        for k, (c, observed) in enumerate(frames):
+            got = _match_outcome(_package_match, configs[c], observed)
+            want = _match_outcome(reference_match, configs[c], observed)
+            assert got == want, f"frame {k} (configuration {c}): {got[:2]} != {want[:2]}"
+            seen.add(got[0])
+        assert seen == {
+            "target",
+            "HandednessMismatch",
+            "DegenerateObservation",
+            "ParallelAxes",
+            "ValidationFailed",
+        }
+
+    def test_replaced_grasp_never_brings_the_old_quaternion(self, cylinder_config):
+        old = cylinder_config.grasp.transform
+        match_to_observation(cylinder_config, cylinder_config.hand.joints)  # fills the caches
+        turned = RigidTransform(old.rotation @ rot_z(0.3), old.translation)
+        config = dataclasses.replace(cylinder_config, grasp=GraspCandidate(turned, width=0.04))
+        assert config.grasp.transform.quaternion is not old.quaternion
+        assert np.array_equal(config.grasp.transform.quaternion, matrix_to_quat(turned.rotation))
+        assert not np.array_equal(config.grasp.transform.quaternion, old.quaternion)
+        target = match_to_observation(config, config.hand.joints)
+        assert np.allclose(target.quaternion, matrix_to_quat(turned.rotation), rtol=0, atol=1e-12)
 
 
 class TestValidateConfiguration:
