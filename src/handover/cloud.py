@@ -55,6 +55,8 @@ def estimate_normals(points) -> np.ndarray:
     """
     p = frozen_array(points, (None, 3), ValueError, "points")
     n_points = p.shape[0]
+    if n_points == 0:
+        raise ValueError("points must hold at least one row")
     if n_points < 3:
         # Too few points for a plane fit; fall back to radial directions.
         centered = p - p.mean(axis=0)
@@ -66,9 +68,13 @@ def estimate_normals(points) -> np.ndarray:
     k = min(NORMAL_NEIGHBORS, n_points - 1)
     idx = nearest_neighbors(p, k + 1)
 
-    # Same operations, in the same order, as np.cov on each neighbourhood.
+    # Same operations, in the same order, as np.cov on each neighbourhood:
+    # its mean adds the rows to 0.0 one by one, then divides.
     nbrs = p[idx]
-    x = nbrs - nbrs.mean(axis=1, keepdims=True)
+    total = 0.0 + nbrs[:, 0]
+    for j in range(1, k + 1):
+        total += nbrs[:, j]
+    x = nbrs - (total / (k + 1))[:, None]
     cov = (x.transpose(0, 2, 1) @ x) * (1.0 / k)
     normals = np.linalg.eigh(cov)[1][:, :, 0]
     outward = p - p.mean(axis=0)
@@ -90,17 +96,18 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
     full distance matrix, whose entries are dx^2 + dy^2 + dz^2 in that order,
     but without building it. The points are hashed into cubic cells, and each
     point's candidates are the points of the 3 x 3 x 3 block of cells around
-    its own. A row is accepted only if its count-th squared distance is
-    strictly below that of any point the block leaves out, which lies at
-    least as far as the block's nearest face (less a rounding slack).
-    Rejected rows go round again on a grid of twice the edge; once every
-    point shares one cell, every row is accepted. The first edge gives a disc
-    of ``count`` points at the mean density of the bounding box's surface, so
-    a surface cloud needs one or two rounds. Far outliers stretch the box, so
-    before any row is done the edge is halved while the median point's block
-    holds more than 16 ``count`` points. Rows run in chunks of at most about
-    ``_CHUNK`` distances: the working memory is O(N) for the grid plus
-    O(_CHUNK).
+    its own; ``_first`` picks a row's nearest among them. A row is accepted
+    only if its count-th squared distance is strictly below that of any point
+    the block leaves out, which lies at least as far as the block's nearest
+    face (less a rounding slack). Rejected rows go round again on a grid of
+    twice the edge, or, once they fit one chunk against the whole cloud, on
+    a grid of one cell; when every point shares one cell, every row is
+    accepted. The first edge gives a disc of ``count`` points at the mean
+    density of the bounding box's surface, so a surface cloud needs one or
+    two rounds. Far outliers stretch the box, so before any row is done the
+    edge is halved while the median point's block holds more than 16
+    ``count`` points. Rows run in chunks of at most about ``_CHUNK``
+    distances: the working memory is O(N) for the grid plus O(_CHUNK).
     """
     p = np.asarray(points, dtype=float)
     n = p.shape[0]
@@ -123,14 +130,19 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
         q = (p - lo) / edge
         cell = np.floor(q).astype(np.int64) + 1  # from 1, so no block wraps round an axis
         cells, key, first, width, members = _blocks(cell)
-        # Rows of similar width share a chunk, padded to its widest row.
+        # Rows of similar width share a chunk, padded to its widest row. The
+        # rows of one cell sit together, as a group, and share its block.
         at = np.searchsorted(cells, key[pending])
-        rank = np.argsort(width[at], kind="stable")
-        pending, first, width = pending[rank], first[at[rank]], width[at[rank]]
-        if sizing and width[n // 2] > 16 * count and edge / 2.0 >= floor:
+        rank = np.argsort(width[at] * cells.size + at)
+        pending, at = pending[rank], at[rank]
+        span = width[at]
+        if sizing and span[n // 2] > 16 * count and edge / 2.0 >= floor:
             edge /= 2.0
             continue
         sizing = False
+        new = np.diff(at, prepend=-1) != 0
+        group = np.cumsum(new) - 1
+        owner = at[new]
         frac = q[pending] - (cell[pending] - 1)  # position in the own cell, in [0, 1)
         # The slack covers the rounding of q and d2, some 1e-15 (|p| + edge),
         # many times over.
@@ -140,31 +152,64 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
         failed = []
         a = 0
         while a < pending.size:
-            cap = max(int(1.5 * width[a]), count)
-            b = a + max(1, min(np.searchsorted(width[a:], cap, side="right"), _CHUNK // cap))
+            cap = max(int(1.5 * span[a]), count)
+            b = a + max(1, min(np.searchsorted(span[a:], cap, side="right"), _CHUNK // cap))
             rows = pending[a:b]
-            col = np.arange(max(int(width[b - 1]), count))
-            cand = members[np.where(col < width[a:b, None], first[a:b, None] + col, -1)]
+            own = owner[group[a] : group[b - 1] + 1]
+            local = group[a:b] - group[a]
+            col = np.arange(max(int(span[b - 1]), count))
+            block = members[np.where(col < width[own, None], first[own, None] + col, -1)]
+            cand = block[local]
             # dx^2 + dy^2 + dz^2, in this order, with few temporaries.
             d2 = np.zeros(cand.shape)
             for axis in coords:
-                step = axis[cand]
+                step = axis[block][local]
                 step -= axis[rows, None]
                 step *= step
                 d2 += step
-            # Complex numbers sort by real part, then imaginary: by (d2, index).
-            order = np.empty(d2.shape, dtype=complex)
-            order.real = d2
-            order.imag = cand
-            best = np.argpartition(order, count - 1, axis=1)[:, :count]
-            best = np.sort(np.take_along_axis(order, best, axis=1), axis=1)
-            ok = whole | (best[:, -1].real < bound[a:b])
-            out[rows[ok]] = best[ok].imag.astype(np.intp)
+            best, kth = _first(d2, cand, count)
+            ok = whole | (kth < bound[a:b])
+            out[rows[ok]] = best[ok]
             failed.append(rows[~ok])
             a = b
         pending = np.concatenate(failed)
-        edge *= 2.0
+        # Rows that fit one chunk against the whole cloud finish next round.
+        edge = 2.0 * (extent.max() if pending.size * n <= _CHUNK else edge)
     return out
+
+
+def _first(d2: np.ndarray, cand: np.ndarray, count: int):
+    """Each row's first ``count`` candidates by (d2, index), and its count-th d2.
+
+    A float partition finds the count-th d2 of each row, its cut. When every
+    row of the chunk has exactly ``count`` entries at or under its cut, each
+    row keeps those, and sorting them by d2 orders them unless two tie. Rows
+    with such a tie, and every row of a chunk where a tie straddles a cut,
+    are ordered by (d2, index) pairs instead.
+    """
+    m = d2.shape[0]
+    kth = np.partition(d2, count - 1, axis=1)[:, count - 1]
+    near = d2 <= kth[:, None]
+    # No row has fewer than count entries at or under its cut, so with no
+    # more than m * count in all, none straddles a tie.
+    if np.count_nonzero(near) == m * count:
+        at = np.flatnonzero(near)
+        order = np.argsort(d2.ravel()[at].reshape(m, count), axis=1)
+        at = at[order + np.arange(0, at.size, count)[:, None]]
+        best = cand.ravel()[at]
+        dist = d2.ravel()[at]
+        slow = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+    else:
+        best = np.empty((m, count), dtype=np.intp)
+        slow = np.ones(m, dtype=bool)
+    if slow.any():
+        # (d2, index) pairs as complex numbers, which order by real part first.
+        pair = np.empty((np.count_nonzero(slow), d2.shape[1]), dtype=complex)
+        pair.real = d2[slow]
+        pair.imag = cand[slow]
+        pick = np.argpartition(pair, count - 1, axis=1)[:, :count]
+        best[slow] = np.sort(np.take_along_axis(pair, pick, axis=1), axis=1).imag.astype(np.intp)
+    return best, kth
 
 
 def _blocks(cell: np.ndarray):

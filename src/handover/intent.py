@@ -15,6 +15,7 @@ import base64
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +64,13 @@ class CatalogEntry:
     name: str
     synonyms: tuple[str, ...] = ()
     use_cases: tuple[str, ...] = ()
+
+    @cached_property
+    def patterns(self) -> tuple:
+        """``_phrase_pattern`` of the name, of the synonyms and of the use
+        cases, in that order: built on first use and kept with the entry."""
+        groups = ((self.name,), self.synonyms, self.use_cases)
+        return tuple(_phrase_pattern(group) for group in groups)
 
 
 @dataclass(frozen=True)
@@ -198,8 +206,13 @@ def build_prompt(query: IntentQuery, catalog: ToolCatalog) -> str:
 
 # --- offline rule-based resolver ---------------------------------------------------
 
-def _phrase_in(phrase: str, text: str) -> bool:
-    return re.search(r"(?<!\w)" + re.escape(phrase.lower()) + r"(?!\w)", text) is not None
+def _phrase_pattern(phrases) -> re.Pattern | None:
+    """Finds any of ``phrases``, lowercased, with no word character right
+    before or after it; None for no phrases."""
+    if not phrases:
+        return None
+    alternatives = "|".join(re.escape(p.lower()) for p in phrases)
+    return re.compile(r"(?<!\w)(?:" + alternatives + r")(?!\w)")
 
 
 def resolve_intent_rules(query: IntentQuery, catalog: ToolCatalog) -> TaskDescription:
@@ -215,14 +228,8 @@ def resolve_intent_rules(query: IntentQuery, catalog: ToolCatalog) -> TaskDescri
 
     best_rank, best_name = 0, None
     for entry in catalog.entries:
-        if _phrase_in(entry.name, text):
-            rank = 3
-        elif any(_phrase_in(s, text) for s in entry.synonyms):
-            rank = 2
-        elif any(_phrase_in(u, text) for u in entry.use_cases):
-            rank = 1
-        else:
-            continue
+        ranked = zip((3, 2, 1), entry.patterns)
+        rank = next((r for r, pattern in ranked if pattern and pattern.search(text)), 0)
         if rank > best_rank:
             best_rank, best_name = rank, entry.name
     if best_name is None:

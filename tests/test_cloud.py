@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handover import cloud
 from handover.cloud import estimate_normals, nearest_neighbors
@@ -116,6 +118,31 @@ def test_special_clouds_match_brute_force(name):
     assert np.array_equal(estimate_normals(points), _reference_normals(points))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n_points=st.integers(2, 600),
+    side=st.integers(1, 9),
+    copies=st.sampled_from([0.0, 0.1, 0.5]),
+    outliers=st.integers(0, 3),
+    count=st.sampled_from([1, 2, 13, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tied_clouds_match_brute_force(n_points, side, copies, outliers, count, seed):
+    """Points on a coarse integer lattice, where many distances tie, with
+    some rows repeated and a few far outliers; ``count`` None asks for every
+    point."""
+    rng = np.random.default_rng(seed)
+    outliers = min(outliers, n_points - 1)
+    repeated = int(copies * (n_points - outliers))
+    lattice = rng.integers(0, side, size=(n_points - outliers - repeated, 3))
+    far = rng.integers(10_000, 100_000, size=(outliers, 3))
+    far *= rng.choice((-1, 1), size=far.shape)
+    points = np.vstack([lattice, lattice[rng.integers(0, len(lattice), size=repeated)], far])
+    points = points[rng.permutation(n_points)].astype(float)
+    count = n_points if count is None else min(count, n_points)
+    assert np.array_equal(nearest_neighbors(points, count), _reference_neighbors(points, count))
+
+
 @pytest.mark.parametrize("far", [1, 5, 80])
 def test_far_points_take_extra_rounds(monkeypatch, far):
     """A blob of 300 points 5 cm across, and ``far`` points scattered 50 m off."""
@@ -202,6 +229,8 @@ def test_points_must_be_finite_rows_of_three():
         estimate_normals([(0.0, 0.0, 0.0), (1.0, np.nan, 0.0), (0.0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="points must have shape"):
         estimate_normals(np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="points must hold at least one row"):
+        estimate_normals(np.zeros((0, 3)))
 
 
 def test_fewer_than_three_points_fall_back_to_radial():

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -208,6 +209,47 @@ class TestRuleResolver:
     def test_deterministic(self, catalog, right_kp):
         q = IntentQuery(text="I need a knife", keypoints=right_kp)
         assert resolve_intent_rules(q, catalog) == resolve_intent_rules(q, catalog)
+
+    def test_patterns_find_what_one_search_per_phrase_finds(self, catalog):
+        """An entry's three patterns hit a text exactly where one word-bounded
+        search per phrase of the group does, phrases with regex
+        metacharacters and the empty phrase included."""
+        odd = ToolCatalog(
+            (
+                CatalogEntry(
+                    "c++ book", synonyms=("c++", "a|b", "(x)"), use_cases=("fix v1.2", "")
+                ),
+                CatalogEntry("dot.tool", synonyms=("dot",), use_cases=("tool*", "[a-z]")),
+                CatalogEntry("Pen", synonyms=("PEN HOLDER",)),
+            )
+        )
+        texts = [item.text for item in sample_corpus()] + [
+            "read the c++ book",
+            "a c++, please",
+            "a|b and (x)",
+            "fix v1x2 or fix v1.2",
+            "dotxtool or dot.tool",
+            "tool* [a-z]",
+            "pens and a pen holder",
+            "",
+            "!",
+        ]
+
+        def found(phrase, text):
+            pattern = r"(?<!\w)" + re.escape(phrase.lower()) + r"(?!\w)"
+            return re.search(pattern, text) is not None
+
+        hits = 0
+        for entry in catalog.entries + odd.entries:
+            assert entry.patterns is entry.patterns  # built once per entry
+            groups = ((entry.name,), entry.synonyms, entry.use_cases)
+            for text in texts:
+                text = " ".join(text.lower().split())
+                want = [any(found(p, text) for p in group) for group in groups]
+                got = [bool(pattern and pattern.search(text)) for pattern in entry.patterns]
+                assert got == want, (entry, text)
+                hits += sum(want)
+        assert hits > len(texts)
 
 
 # --- endpoint client -------------------------------------------------------------
