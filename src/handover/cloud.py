@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import frozen_array, row_dot
+from .geometry import frozen_array, row_dot, row_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,13 +25,15 @@ class ObjectCloud:
         object.__setattr__(self, "points", p)
         if self.normals is not None:
             n = frozen_array(self.normals, p.shape, SchemaError, "normals")
-            if np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) > 1e-6:
+            if np.max(np.abs(row_norms(n) - 1.0)) > 1e-6:
                 raise SchemaError("normals must be unit length within 1e-6")
             object.__setattr__(self, "normals", n)
 
     @property
     def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        """The mean point: ``points.mean(axis=0)``'s sum and division, without
+        its per-call overhead."""
+        return np.add.reduce(self.points, axis=0) / self.points.shape[0]
 
     def with_normals(self) -> "ObjectCloud":
         if self.normals is not None:
@@ -100,14 +102,16 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
     only if its count-th squared distance is strictly below that of any point
     the block leaves out, which lies at least as far as the block's nearest
     face (less a rounding slack). Rejected rows go round again on a grid of
-    twice the edge, or, once they fit one chunk against the whole cloud, on
-    a grid of one cell; when every point shares one cell, every row is
+    twice the edge, or, once they fit one chunk against the whole cloud, on a
+    grid of one cell; when every point shares one cell, every row is
     accepted. The first edge gives a disc of ``count`` points at the mean
     density of the bounding box's surface, so a surface cloud needs one or
     two rounds. Far outliers stretch the box, so before any row is done the
     edge is halved while the median point's block holds more than 16
-    ``count`` points. Rows run in chunks of at most about ``_CHUNK``
-    distances: the working memory is O(N) for the grid plus O(_CHUNK).
+    ``count`` points, unless they are all copies of that point, which no
+    halving parts; then rejected rows go back to no finer than the first
+    edge. Rows run in chunks of at most about ``_CHUNK`` distances: the
+    working memory is O(N) for the grid plus O(_CHUNK).
     """
     p = np.asarray(points, dtype=float)
     n = p.shape[0]
@@ -121,6 +125,7 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
     # a single spot takes any edge.
     floor = extent.max() / 2**20 or 1.0
     edge = max(np.sqrt(area * count / (np.pi * n)), extent.max() * count / (2.0 * n), floor)
+    first_edge, least = edge, 0.0  # rejected rows go back to no finer than least
     sizing = True
     scale = np.abs(p).max()
     coords = np.append(p, np.full((1, 3), np.inf), axis=0).T.copy()  # index n pads rows
@@ -137,8 +142,14 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
         pending, at = pending[rank], at[rank]
         span = width[at]
         if sizing and span[n // 2] > 16 * count and edge / 2.0 >= floor:
-            edge /= 2.0
-            continue
+            # Copies of the median point share its cell at every edge.
+            copies = np.count_nonzero((p == p[pending[n // 2]]).all(axis=1))
+            if span[n // 2] > copies:
+                edge /= 2.0
+                continue
+            # The halving made its grids for a block of copies, which none
+            # thins, so rejected rows skip back to the first edge.
+            least = first_edge
         sizing = False
         new = np.diff(at, prepend=-1) != 0
         group = np.cumsum(new) - 1
@@ -174,7 +185,7 @@ def nearest_neighbors(points: np.ndarray, count: int) -> np.ndarray:
             a = b
         pending = np.concatenate(failed)
         # Rows that fit one chunk against the whole cloud finish next round.
-        edge = 2.0 * (extent.max() if pending.size * n <= _CHUNK else edge)
+        edge = 2.0 * extent.max() if pending.size * n <= _CHUNK else max(2.0 * edge, least)
     return out
 
 

@@ -38,15 +38,18 @@ def frozen_array(
     Strings, bytes and booleans are not numbers here, even "12" or True, also
     inside a list such as [0.5, True].
     """
-    try:
-        arr = value if isinstance(value, np.ndarray) else np.array(value)
-        if arr.dtype.kind not in "fiu":
-            raise TypeError(f"got {arr.dtype} values")
-        if arr is not value and arr.ndim and _holds_bool(value):
-            raise TypeError("got a boolean")
-        arr = np.array(arr, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise error(f"{name} must hold numbers: {exc}") from exc
+    if type(value) is np.ndarray and value.dtype.kind == "f":
+        arr = value.astype(float)  # a copy, as np.array makes, at half its cost
+    else:
+        try:
+            arr = value if isinstance(value, np.ndarray) else np.array(value)
+            if arr.dtype.kind not in "fiu":
+                raise TypeError(f"got {arr.dtype} values")
+            if arr is not value and arr.ndim and _holds_bool(value):
+                raise TypeError("got a boolean")
+            arr = np.array(arr, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise error(f"{name} must hold numbers: {exc}") from exc
     if arr.shape != shape and (
         arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
     ):
@@ -108,6 +111,15 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an (M, 3) array, bitwise
+    ``np.linalg.norm(a, axis=1)``: numpy sums each row's three squares left
+    to right, and so do the two column adds here, without a reduction over a
+    three-long axis, which costs several times as much."""
+    s = a * a
+    return np.sqrt((s[:, 0] + s[:, 1]) + s[:, 2])
+
+
 def rotation_residuals(rotations) -> np.ndarray:
     """max(max|R^T R - I|, |det R - 1|) of each of a (K, 3, 3) stack: the one
     measure of how far a matrix is from a proper rotation, judged against
@@ -121,10 +133,16 @@ def cross3(a, b) -> np.ndarray:
 
     It runs the multiplies and subtracts of ``np.cross``, so the result is
     bitwise equal, without the per-call overhead that makes ``np.cross`` on
-    one pair cost many times its arithmetic.
+    one pair cost many times its arithmetic. One float64 pair runs on Python
+    floats, which round each operation as numpy does.
     """
-    a0, a1, a2 = np.asarray(a).T
-    b0, b1, b2 = np.asarray(b).T
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1 and a.dtype == b.dtype == np.float64:
+        a0, a1, a2 = a.tolist()
+        b0, b1, b2 = b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
 
 

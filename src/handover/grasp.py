@@ -24,7 +24,15 @@ from .errors import (
     load_json_file,
     reading,
 )
-from .geometry import VERIFY_TOL, RigidTransform, cross3, frozen_array, rotation_residuals, row_dot
+from .geometry import (
+    VERIFY_TOL,
+    RigidTransform,
+    cross3,
+    frozen_array,
+    rotation_residuals,
+    row_dot,
+    row_norms,
+)
 from .hand_model import PosedHand, direction_from_joints, geometric_center
 
 # Two-finger parallel gripper jaw limit (74 mm).
@@ -248,54 +256,57 @@ def antipodal_candidates(cloud: ObjectCloud, count: int = 16, seed: int = 0) -> 
     if n_points <= 256:
         # Normals within theta of -axis and of +axis have n_i . n_j <= -cos 2theta
         # = 1 - 2 cos^2 theta, as theta is below 90 degrees. The exact test below
-        # runs on the pairs this keeps, in the row-major order of triu_indices.
-        kept = normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
-        # Flat indices and divmod: cheaper than the 2-D nonzero, same order.
-        ii, jj = np.divmod(np.flatnonzero(np.triu(kept, k=1)), n_points)
+        # runs on the pairs this keeps above the diagonal, in row-major order.
+        kept = np.flatnonzero(
+            normals @ normals.T <= 1.0 - 2.0 * cos_cone**2 + _PAIR_PREFILTER_SLACK
+        )
+        ii = kept // n_points
+        jj = kept - ii * n_points
     else:
         # No more than the cloud's n(n-1)/2 distinct pairs: past that, a larger
         # count would only cost memory.
         n_pairs = min(max(count * 200, 2000), n_points * (n_points - 1) // 2)
         ii = rng.integers(0, n_points, size=n_pairs)
         jj = rng.integers(0, n_points, size=n_pairs)
-        keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
+    upper = ii < jj
+    ii, jj = ii.compress(upper), jj.compress(upper)
 
-    span = points[jj] - points[ii]
-    sep = np.linalg.norm(span, axis=1)
+    # Rows move with take and compress, which skip fancy indexing's overhead.
+    span = points.take(jj, axis=0) - points.take(ii, axis=0)
+    sep = row_norms(span)
+    # Every pair gets an axis, in one pass; a pair too close to have one is
+    # divided by 1e-9 instead of 0, and fails the first test.
+    axis = span / np.maximum(sep, 1e-9)[:, None]
     ok = (sep > 1e-9) & (sep <= MAX_JAW_WIDTH_M)
-    ii, jj, span, sep = ii[ok], jj[ok], span[ok], sep[ok]
-    axis = span / sep[:, None]
-    opposing = (np.einsum("ij,ij->i", normals[ii], axis) <= -cos_cone) & (
-        np.einsum("ij,ij->i", normals[jj], axis) >= cos_cone
-    )
-    ii, jj, axis, sep = ii[opposing], jj[opposing], axis[opposing], sep[opposing]
+    ok &= np.einsum("ij,ij->i", normals.take(ii, axis=0), axis) <= -cos_cone
+    ok &= np.einsum("ij,ij->i", normals.take(jj, axis=0), axis) >= cos_cone
+    ii, jj, sep = ii.compress(ok), jj.compress(ok), sep.compress(ok)
+    axis = axis.compress(ok, axis=0)
     if ii.size == 0:
         raise NoCandidatesFound("no opposing point pair fits the jaw")
 
-    midpoint = 0.5 * (points[ii] + points[jj])
+    midpoint = 0.5 * (points.take(ii, axis=0) + points.take(jj, axis=0))
     # The midpoint sort fixes each group of equal midpoints; frames are built,
     # and groups sorted by (rotation, width), only where a drawn rank falls.
     by_midpoint = np.lexsort(midpoint.T[::-1])
     ranks = np.arange(by_midpoint.size)
     if ranks.size > count:
         ranks = np.sort(rng.choice(ranks.size, size=count, replace=False))
-    tied = midpoint[by_midpoint]
-    group = np.cumsum(np.concatenate(([True], (tied[1:] != tied[:-1]).any(axis=1))))
+    tied = midpoint.take(by_midpoint, axis=0)
+    step = tied[1:] != tied[:-1]
+    group = np.cumsum(np.concatenate(([True], step[:, 0] | step[:, 1] | step[:, 2])))
     drawn = np.zeros(group[-1] + 1, dtype=bool)
-    drawn[group[ranks]] = True
-    slots = np.flatnonzero(drawn[group])  # the ranks the drawn groups cover
-    pairs = by_midpoint[slots]
-    axis, midpoint, sep = axis[pairs], midpoint[pairs], sep[pairs]
+    drawn[group.take(ranks)] = True
+    slots = np.flatnonzero(drawn.take(group))  # the ranks the drawn groups cover
+    pairs = by_midpoint.take(slots)
+    axis, midpoint, sep = axis.take(pairs, axis=0), midpoint.take(pairs, axis=0), sep.take(pairs)
 
     away = midpoint - centroid
     away = away - row_dot(away, axis)[:, None] * axis
     away_norm = np.sqrt(row_dot(away, away))
-    near = away_norm < 1e-9
-    far = ~near
     # Approach points base->fingers, i.e. in toward the object.
-    approach = np.empty_like(away)
-    approach[far] = -away[far] / away_norm[far, None]
+    approach = -away / np.maximum(away_norm, 1e-9)[:, None]
+    near = away_norm < 1e-9
     if near.any():
         # The pair axis passes through the centroid: a fixed perpendicular.
         u = axis[near]
@@ -305,10 +316,12 @@ def antipodal_candidates(cloud: ObjectCloud, count: int = 16, seed: int = 0) -> 
         approach[near] = perp / np.sqrt(row_dot(perp, perp))[:, None]
     rotation = np.stack([axis, cross3(approach, axis), approach], axis=2)
 
-    order = np.lexsort((sep, *rotation.reshape(-1, 9).T[::-1], group[slots]))
-    chosen = order[np.searchsorted(slots, ranks)]
+    order = np.lexsort((sep, *rotation.reshape(-1, 9).T[::-1], group.take(slots)))
+    chosen = order.take(np.searchsorted(slots, ranks))
     sources = ("antipodal-sampler",) * chosen.size
-    return CandidateSet(rotation[chosen], midpoint[chosen], sep[chosen], sources)
+    return CandidateSet(
+        rotation.take(chosen, axis=0), midpoint.take(chosen, axis=0), sep.take(chosen), sources
+    )
 
 
 # --- candidate files --------------------------------------------------------------

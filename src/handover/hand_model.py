@@ -23,6 +23,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,9 +114,12 @@ class HandModelParams:
             if not 0 <= self.parents[k] < k:
                 raise ModelMismatch("parents must be topologically ordered with a wrist root")
 
-    @property
+    @cached_property
     def rest_keypoints(self) -> np.ndarray:
-        return self.joint_regressor @ self.template_vertices
+        """joint_regressor @ template_vertices, computed once, read-only."""
+        keypoints = self.joint_regressor @ self.template_vertices
+        keypoints.setflags(write=False)
+        return keypoints
 
     def mirrored(self) -> "HandModelParams":
         """Mirror through the xz-plane, flipping handedness."""
@@ -253,14 +257,28 @@ def lbs_forward(params: HandModelParams, pose: HandPose) -> PosedHand:
         raise ModelMismatch(
             f"pose is {pose.handedness!r} but model is {params.handedness!r}"
         )
-    rest_vertices = params.template_vertices
-    if params.shape_dirs is not None and np.any(pose.shape != 0.0):
-        rest_vertices = rest_vertices + params.shape_dirs @ pose.shape
-    rest_keypoints = params.joint_regressor @ rest_vertices
+    vertices, keypoints = _posed_at_origin(params, pose.pose.tobytes(), pose.shape.tobytes())
+    return PosedHand(
+        vertices=vertices + pose.translation,
+        joints=keypoints + pose.translation,
+        handedness=params.handedness,
+    )
+
+
+@lru_cache(maxsize=2)
+def _posed_at_origin(params: HandModelParams, blocks: bytes, shape: bytes):
+    """lbs_forward's vertices and keypoints before the translation, for pose
+    blocks and shape given as their float64 bytes. The last two are kept, one
+    per handedness: a receiving preset is skinned once, then only moved."""
+    shape = np.frombuffer(shape)
+    rest_vertices, rest_keypoints = params.template_vertices, params.rest_keypoints
+    if params.shape_dirs is not None and np.any(shape != 0.0):
+        rest_vertices = rest_vertices + params.shape_dirs @ shape
+        rest_keypoints = params.joint_regressor @ rest_vertices
     rest_joints = rest_keypoints[SKELETON_KEYPOINT]
 
     try:
-        rotations = rot6d_to_matrices(pose.pose)
+        rotations = rot6d_to_matrices(np.frombuffer(blocks).reshape(NUM_JOINTS, 6))
     except (DegenerateDirection, ParallelAxes) as exc:
         raise InvalidPoseBlock(f"joint {exc.block}: {exc}") from exc
 
@@ -271,21 +289,20 @@ def lbs_forward(params: HandModelParams, pose: HandPose) -> PosedHand:
         np.einsum("kij,kj->ki", relative[KEYPOINT_DRIVER][:, :3, :3], rest_keypoints)
         + relative[KEYPOINT_DRIVER][:, :3, 3]
     )
-    return PosedHand(
-        vertices=vertices + pose.translation,
-        joints=keypoints + pose.translation,
-        handedness=params.handedness,
-    )
+    vertices.setflags(write=False)  # shared by every call that hits the cache
+    keypoints.setflags(write=False)
+    return vertices, keypoints
 
 
 # --- keypoint geometry ----------------------------------------------------------
 
 def geometric_center(points) -> np.ndarray:
-    """Centroid of a point set (N, 3)."""
+    """Centroid of a point set (N, 3): ``mean(axis=0)``'s sum and division,
+    without its per-call overhead."""
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if p.shape[0] < 1:
         raise ValueError("need at least one point")
-    return p.mean(axis=0)
+    return np.add.reduce(p, axis=0) / p.shape[0]
 
 
 def direction_from_joints(joints) -> np.ndarray:

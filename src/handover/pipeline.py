@@ -319,11 +319,21 @@ class HandoverConfiguration:
                 fallbacks=fallbacks,
                 clearance_margin=margin,
             )
-            for name, derived in config._derived_json().items():
-                if json.dumps(derived, sort_keys=True) != json.dumps(data[name], sort_keys=True):
-                    raise ValueError(
-                        f"{name} is not what the record's inputs give; re-run imagine to rewrite it"
-                    )
+            # All three parts in one json.dumps a side: the two texts differ
+            # exactly when one part's do, and only then is each part written
+            # alone, to name the first that differs.
+            derived = config._derived_json()
+            stored = {name: data[name] for name in derived}
+            if json.dumps(derived, sort_keys=True) != json.dumps(stored, sort_keys=True):
+                name = next(
+                    name
+                    for name in derived
+                    if json.dumps(derived[name], sort_keys=True)
+                    != json.dumps(stored[name], sort_keys=True)
+                )
+                raise ValueError(
+                    f"{name} is not what the record's inputs give; re-run imagine to rewrite it"
+                )
         return config
 
     def to_json_text(self) -> str:
@@ -460,22 +470,20 @@ def imagine_configuration(
     hand = lbs_forward(config.model_for(task.handedness), hand_pose)
     ranked = rank_candidates(candidates, hand, config.selection)
 
+    # Each tried candidate's configuration measures its clearance against the
+    # margin, once: its own validation is the gate, so an emitted
+    # configuration passes its own report.
     margin = config.selection.clearance_margin
     fallbacks: list[dict] = []
     for index, score in ranked:
-        grasp = candidates[index]
-        clearance = clearance_check(grasp, GRIPPER, hand, margin)
+        imagined = HandoverConfiguration(
+            task, cloud, hand_pose, hand, candidates[index], index, score, tuple(fallbacks), margin
+        )
+        clearance = imagined.selection.clearance
         if clearance.passed:
-            break
+            return imagined
         fallbacks.append({"index": index, "min_distance_m": clearance.min_distance})
-    else:
-        raise AllCandidatesCollide([f["min_distance_m"] for f in fallbacks])
-
-    # Validated against the margin that gated selection, so an emitted
-    # configuration passes its own report.
-    return HandoverConfiguration(
-        task, cloud, hand_pose, hand, grasp, index, score, tuple(fallbacks), margin
-    )
+    raise AllCandidatesCollide([f["min_distance_m"] for f in fallbacks])
 
 
 @dataclass(frozen=True, eq=False)

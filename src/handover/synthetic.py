@@ -234,12 +234,18 @@ def receiving_pose_for(cloud: ObjectCloud, handedness: str = "right") -> HandPos
     """Open hand posed in the object frame, reaching toward the cloud from -x:
     the wrist sits REACH_MARGIN_M below the cloud's smallest x, level with
     its centroid in y and z."""
-    sample = sample_receiving_pose((0.0, 0.0, 0.0), grip="open", handedness=handedness)
     centroid = cloud.centroid
     wrist = np.array(
         (float(cloud.points[:, 0].min()) - REACH_MARGIN_M, centroid[1], centroid[2])
     )
-    return HandPose(translation=wrist, pose=sample.pose.pose, handedness=handedness)
+    return HandPose(translation=wrist, pose=_open_hand(handedness).pose, handedness=handedness)
+
+
+@lru_cache(maxsize=2)
+def _open_hand(handedness: str) -> HandPose:
+    """The open-hand wrist sample at zero angles, made once per handedness:
+    a HandPose is immutable."""
+    return sample_receiving_pose((0.0, 0.0, 0.0), grip="open", handedness=handedness).pose
 
 
 # --- tool catalog -------------------------------------------------------------------

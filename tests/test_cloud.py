@@ -160,6 +160,41 @@ def test_far_points_take_extra_rounds(monkeypatch, far):
     assert rounds[-1] < max(rounds)
 
 
+def test_far_points_leave_the_blob_on_fine_grids(monkeypatch):
+    """A blob of 5000 points and 3 points 50 m off. The first edge puts the
+    blob in one cell, so its rejected rows must climb from the fine grids the
+    halving made, not go back to that cell and meet every blob point."""
+    rng = np.random.default_rng(1)
+    points = np.vstack([rng.normal(scale=0.01, size=(5000, 3)), rng.uniform(49.0, 51.0, size=(3, 3))])
+    sizes = []
+    first = cloud._first
+
+    def counted(d2, cand, count):
+        sizes.append(d2.size)
+        return first(d2, cand, count)
+
+    monkeypatch.setattr(cloud, "_first", counted)
+    assert np.array_equal(nearest_neighbors(points, 13), _reference_neighbors(points, 13))
+    # About 260 candidates a row; going back to the blob's one cell made some 1560.
+    assert sum(sizes) <= 32 * 13 * len(points), sum(sizes)
+
+
+def test_copies_of_one_point_do_not_drive_the_grid_to_its_floor(monkeypatch):
+    """A jittered 1000-point scan plus 1500 copies of one of its points: the
+    median point is a copy, whose block no halving can thin. The sizing stops
+    once that block holds only copies, and the scan's rejected rows go back
+    to the first edge, not through every grid in between."""
+    rng = np.random.default_rng(3)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    scan = np.column_stack([0.025 * np.cos(angle), 0.025 * np.sin(angle),
+                            rng.uniform(-0.045, 0.045, 1000)])
+    scan += rng.normal(scale=0.0005, size=scan.shape)
+    points = np.vstack([scan, np.repeat(scan[:1], 1500, axis=0)])
+    rounds = _grid_rounds(monkeypatch)
+    assert np.array_equal(nearest_neighbors(points, 13), _reference_neighbors(points, 13))
+    assert len(rounds) <= 6, rounds
+
+
 def test_count_must_fit_the_cloud():
     for count in (0, 31):
         with pytest.raises(ValueError, match="count must be in"):

@@ -21,6 +21,7 @@ from handover.geometry import (
     rot_x,
     rot_y,
     rot_z,
+    row_norms,
     transform_pose,
     unit,
 )
@@ -187,6 +188,19 @@ class TestCross3:
 
     def test_right_handed_basis(self):
         assert np.array_equal(cross3((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (0.0, 0.0, 1.0))
+
+
+class TestRowNorms:
+    def test_bitwise_equal_to_np_linalg_norm_on_rows(self, rng):
+        """On rows where adding the squares left to right and right to left
+        round differently, so the check tells the two orders apart."""
+        a = rng.normal(size=(200_000, 3)) * 10.0 ** rng.uniform(-6, 3, size=(200_000, 3))
+        s = a * a
+        assert np.count_nonzero((s[:, 0] + s[:, 1]) + s[:, 2] != s[:, 0] + (s[:, 1] + s[:, 2]))
+        assert row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+    def test_zero_rows(self):
+        assert row_norms(np.array([[0.0, -0.0, 0.0], [3.0, 4.0, 0.0]])).tolist() == [0.0, 5.0]
 
 
 class TestRot6d:
@@ -417,6 +431,30 @@ class TestFrozenArray:
         assert out[0, 0] == 0.0
         with pytest.raises(ValueError):
             out[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.arange(6.0, dtype=np.float32).reshape(2, 3),
+            np.arange(6.0, dtype=np.float16).reshape(2, 3),
+            np.arange(6.0, dtype=">f8").reshape(2, 3),
+            np.arange(12.0).reshape(2, 6)[:, ::2],
+        ],
+        ids=["float32", "float16", "big-endian", "strided"],
+    )
+    def test_float_arrays_are_copied_to_native_float(self, source):
+        out = frozen_array(source, (2, 3), _Wanted, "x")
+        assert out.dtype == np.float64 and out.dtype.isnative
+        assert out.tolist() == source.tolist()
+        assert not np.shares_memory(out, source) and not out.flags.writeable
+        with pytest.raises(_Wanted, match="^x must have shape"):
+            frozen_array(source, (3, 2), _Wanted, "x")
+        bad = source.copy()
+        bad[1, 1] = np.inf
+        with pytest.raises(_Wanted, match="^x must hold finite numbers"):
+            frozen_array(bad, (2, 3), _Wanted, "x")
+        with pytest.raises(_Wanted, match="^x must hold whole numbers"):
+            frozen_array(source + 0.5, (2, 3), _Wanted, "x", int)
 
     def test_int_dtype(self):
         out = frozen_array([[0, 1, 2], [2, 1, 0]], (None, 3), _Wanted, "faces", int)

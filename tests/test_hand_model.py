@@ -152,6 +152,41 @@ class TestLbsForward:
         with pytest.raises(ModelMismatch):
             lbs_forward(right_params, HandPose.rest("left"))
 
+    def test_a_moved_pose_is_skinned_once_per_handedness(self, right_params, left_params, rng,
+                                                         monkeypatch):
+        """Poses that differ only in translation share one skinning, and each
+        hand is bitwise what skinning afresh gives."""
+        skinned = []
+        skin = hand_model.skin_vertices
+
+        def counted(*args):
+            skinned.append(args)
+            return skin(*args)
+
+        monkeypatch.setattr(hand_model, "skin_vertices", counted)
+        hand_model._posed_at_origin.cache_clear()
+        blocks = rng.normal(size=(NUM_JOINTS, 6))
+        params = {"right": right_params, "left": left_params}
+        poses = [
+            HandPose(translation=rng.normal(size=3), pose=blocks, handedness=side)
+            for _ in range(4)
+            for side in ("right", "left")
+        ]
+        hands = [lbs_forward(params[p.handedness], p) for p in poses]
+        assert len(skinned) == 2
+        for pose, hand in zip(poses, hands):
+            hand_model._posed_at_origin.cache_clear()
+            fresh = lbs_forward(params[pose.handedness], pose)
+            assert hand.vertices.tobytes() == fresh.vertices.tobytes()
+            assert hand.joints.tobytes() == fresh.joints.tobytes()
+
+    def test_a_bad_pose_block_raises_every_time(self, right_params):
+        blocks = np.tile(matrix_to_rot6d(np.eye(3)), (NUM_JOINTS, 1))
+        blocks[5, 3:] = 2.0 * blocks[5, :3]
+        for _ in range(2):
+            with pytest.raises(InvalidPoseBlock, match="joint 5"):
+                lbs_forward(right_params, HandPose(translation=np.zeros(3), pose=blocks))
+
 
 def _reference_rot6d(r6):
     """The single-block decode lbs_forward ran once per joint before the stack."""
@@ -335,6 +370,15 @@ def rest_pose_blocks():
 
 
 class TestKeypointGeometry:
+    @pytest.mark.parametrize("rows", [1, 21, 778, 5000])
+    def test_centres_are_bitwise_the_mean(self, rng, rows):
+        from handover.cloud import ObjectCloud
+
+        points = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-4, 2, size=(rows, 1))
+        mean = points.mean(axis=0).tobytes()
+        assert geometric_center(points).tobytes() == mean
+        assert ObjectCloud("blob", points).centroid.tobytes() == mean
+
     def test_hand_direction_examples(self):
         joints = np.zeros((NUM_KEYPOINTS, 3))
         joints[12] = (0.1, 0, 0)

@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handover import pipeline, synthetic
+from handover.cloud import ObjectCloud
 from handover.errors import (
     AllCandidatesCollide,
     DegenerateObservation,
@@ -212,8 +213,8 @@ class TestImagine:
 
     def test_only_the_chosen_grasp_is_measured_when_best_passes(self, cylinder_cloud,
                                                                 pipe_config, monkeypatch):
-        """Once at the gate, and once where the configuration derives its
-        clearance; no other candidate is measured."""
+        """Once, where the configuration derives its clearance, which is the
+        gate; no other candidate is measured."""
         calls = []
         original = pipeline.clearance_check
 
@@ -230,7 +231,7 @@ class TestImagine:
             pipe_config,
         )
         assert config.selection.fallbacks == ()
-        assert len(calls) == 2
+        assert len(calls) == 1
         for grasp in calls:
             assert np.array_equal(grasp.transform.as_matrix(), config.grasp.transform.as_matrix())
         assert config.validation.checks["clearance"].measured == config.selection.clearance.min_distance
@@ -739,3 +740,94 @@ class TestSerialization:
         assert np.allclose(
             matrix_to_quat(quat_to_matrix(doc["quaternion_wxyz"])), doc["quaternion_wxyz"]
         )
+
+
+# Strings json.dumps escapes, or that look like the record's own text: a
+# quote, a backslash, NUL and other control characters, non-ASCII text, a
+# lone surrogate and a JSON fragment.
+_AWKWARD_TEXT = [
+    'say "hi"',
+    "back\\slash",
+    "nul\x00byte",
+    "\x01\x1f\n\t\r",
+    "café ☕ 手",
+    "half \ud800 pair",
+    '", "points": "AAAA',
+]
+
+
+class TestRecordText:
+    @pytest.mark.parametrize("normals", [True, False], ids=["normals", "no-normals"])
+    @pytest.mark.parametrize("text", _AWKWARD_TEXT)
+    def test_awkward_text_survives_save_and_load(self, cylinder_config, tmp_path, text, normals):
+        """As the cloud name, grasp source, task object and a fallback's field."""
+        config = cylinder_config
+        cloud = ObjectCloud(text, config.cloud.points, config.cloud.normals if normals else None)
+        grasp = GraspCandidate(config.grasp.transform, config.grasp.width, text)
+        config = HandoverConfiguration(
+            TaskDescription(text, config.task.handedness), cloud, config.hand_pose, config.hand,
+            grasp, config.selected_index, config.score,
+            ({"index": 0, "min_distance_m": 0.001, "note": text},), config.clearance_margin,
+        )
+        save_configuration(config, tmp_path / "config.json")
+        loaded = load_configuration(tmp_path / "config.json")
+        assert loaded.cloud.name == loaded.grasp.source == loaded.task.object_name == text
+        assert (loaded.cloud.normals is None) == (not normals)
+        assert loaded.to_json_text() == config.to_json_text()
+
+
+# Leaves of the parts a loaded record derives, and edits that may or may not
+# change their JSON text: a zero's sign, 1.0 against 1, True against 1, a
+# leaf put in a list, and a list read as a tuple (the same JSON array).
+_DERIVED_LEAVES = [
+    ("hand_frame", "center", 0),
+    ("hand_frame", "direction", 0),
+    ("hand_frame", "direction", 1),
+    ("hand_frame", "direction"),
+    ("selection", "clearance_m"),
+    ("validation", "clearance", "passed"),
+    ("validation", "hand_frame", "measured"),
+    ("validation", "jaw_width", "limit"),
+    ("validation", "grasp_rotation"),
+]
+_EDITS = {
+    "same": lambda v: v,
+    "negated": lambda v: -v if isinstance(v, float) else v,
+    "int": lambda v: int(v) if isinstance(v, (bool, float)) and float(v).is_integer() else v,
+    "float": lambda v: float(v) if isinstance(v, (bool, int)) else v,
+    "nested": lambda v: [v],
+    "tuple": lambda v: tuple(v) if isinstance(v, list) else v,
+}
+
+
+class TestDerivedPartCheck:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(leaf=st.sampled_from(_DERIVED_LEAVES), edit=st.sampled_from(sorted(_EDITS)))
+    @example(leaf=("validation", "hand_frame", "measured"), edit="negated")  # 0.0 and -0.0
+    @example(leaf=("hand_frame", "direction", 0), edit="int")  # 1.0 and 1
+    @example(leaf=("validation", "clearance", "passed"), edit="int")  # True and 1
+    @example(leaf=("hand_frame", "direction"), edit="nested")  # a list in a list
+    def test_refused_exactly_when_the_part_text_differs(self, leaf, edit):
+        config = _imagined("cylinder", "right")
+        doc = json.loads(config.to_json_text())
+        node = doc
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = _EDITS[edit](node[leaf[-1]])
+        part = leaf[0]
+        before = json.dumps(config.to_json_dict()[part], sort_keys=True)
+        if json.dumps(doc[part], sort_keys=True) == before:
+            assert HandoverConfiguration.from_json_dict(doc).to_json_text() == config.to_json_text()
+        else:
+            with pytest.raises(SchemaError, match=f"^bad configuration record: {part} is not"):
+                HandoverConfiguration.from_json_dict(doc)
+
+    def test_names_the_first_part_that_differs(self):
+        doc = json.loads(_imagined("cylinder", "right").to_json_text())
+        doc["selection"]["clearance_m"] = 1.0
+        doc["validation"]["jaw_width"]["limit"] = 1.0
+        with pytest.raises(SchemaError, match="selection is not"):
+            HandoverConfiguration.from_json_dict(doc)
+        doc["hand_frame"]["center"] = [0.0, 0.0, 0.0]
+        with pytest.raises(SchemaError, match="hand_frame is not"):
+            HandoverConfiguration.from_json_dict(doc)
