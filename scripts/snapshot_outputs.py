@@ -5,15 +5,21 @@ Runs, through ``handover.cli.main`` and with every path relative to OUT_DIR:
 - ``imagine --sample-antipodal`` on the cylinder and box fixtures (with
   normals) and a 960-point jittered scan (without), both hands, seeds 0-4,
   and ``imagine --grasps`` on an 8-candidate file, both hands;
+- ``imagine --hand-model`` on the cylinder, both hands, with a
+  ``hand-model/1`` file of the synthetic right hand, and ``imagine --poses``
+  on a pose library whose right cylinder pose sits 2 cm below the procedural
+  one;
 - ``match`` of every configuration against its imagined keypoints moved by a
-  fixed rigid motion, and ``export`` of two configurations;
+  fixed rigid motion, and ``export`` of three configurations, one with
+  ``--hand-model``;
 - ``infer --keypoints`` and ``evaluate`` on the default catalog and corpus.
 
 Every input and output file lands in OUT_DIR. ``transcript.txt`` holds each
-command with its exit code, stdout and stderr (timing lines dropped). Two
-runs of the same behaviour give snapshots that ``diff -r`` finds equal; to
-compare two checkouts, run this script once with each one's ``src`` on
-PYTHONPATH:
+command with its exit code, stdout and stderr (timing lines dropped), and
+``transcript_hand_inputs.txt`` the same for the runs that read a hand-model
+file or a pose library. Two runs of the same behaviour give snapshots that
+``diff -r`` finds equal; to compare two checkouts, run this script once with
+each one's ``src`` on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/snapshot_outputs.py snap_new
     PYTHONPATH=../parent/src python3 scripts/snapshot_outputs.py snap_old
@@ -36,6 +42,7 @@ from handover.cli import main as handover
 from handover.cloud import ObjectCloud
 from handover.geometry import RigidTransform, rot_z
 from handover.grasp import antipodal_candidates, save_candidates
+from handover.hand_model import HandPose, save_hand_model
 from handover.intent import save_catalog, save_corpus
 
 HANDS = ("right", "left")
@@ -58,6 +65,10 @@ def write_inputs() -> list[str]:
                 json.dumps({"object": cloud.name, "hand": hand})
             )
     save_candidates(antipodal_candidates(clouds[0], count=8, seed=3), "grasps.json")
+    save_hand_model(synthetic.synthetic_hand_params("right"), "hand_model.json")
+    pose = synthetic.receiving_pose_for(clouds[0], "right")
+    lowered = HandPose(pose.translation - (0.0, 0.0, 0.02), pose.pose, pose.shape, "right")
+    Path("poses.json").write_text(json.dumps({"cylinder": {"right": lowered.to_dict()}}))
     catalog = synthetic.default_catalog()
     save_catalog(catalog, "catalog.json")
     save_corpus(synthetic.sample_corpus(catalog), "corpus.json")
@@ -118,6 +129,15 @@ def main():
                     "--keypoints", f"keypoints_{hand}.json")
         run(log, "evaluate", "--corpus", "corpus.json", "--catalog", "catalog.json",
             "--report", "report.json")
+    # The runs that read a hand-model file or a pose library.
+    with open("transcript_hand_inputs.txt", "w", encoding="utf-8") as log:
+        for hand in HANDS:
+            imagine_and_match(log, f"model_{hand}", "cylinder", hand,
+                              ["--sample-antipodal", "--hand-model", "hand_model.json"])
+        imagine_and_match(log, "poses_right", "cylinder", "right",
+                          ["--sample-antipodal", "--poses", "poses.json"])
+        run(log, "export", "--config", "model_left.json", "--hand-model", "hand_model.json",
+            "--out", "model_left.obj")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .errors import (
 from .grasp import SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
-    ENDPOINT_URL_ENV,
     EndpointConfig,
     EndpointResolver,
     IntentQuery,
@@ -92,9 +91,14 @@ def _emit_timing(name: str, seconds: float) -> None:
 # --- subcommands -----------------------------------------------------------------
 
 def _cmd_infer(args) -> int:
+    """--endpoint asks the endpoint; else --keypoints runs the rules; else the
+    endpoint named by the environment or the settings file, if any."""
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
-    if args.endpoint or (not args.keypoints and os.environ.get(ENDPOINT_URL_ENV)):
+    if args.keypoints and not args.endpoint:
+        query = IntentQuery(text=args.text, keypoints=_load_keypoints(args.keypoints))
+        task = resolve_intent_rules(query, catalog)
+    else:
         config = _endpoint_config(args, settings)
         image_bytes = None
         if args.image:
@@ -105,11 +109,6 @@ def _cmd_infer(args) -> int:
         )
         raw = llm_infer(config, prompt, image_bytes)
         task = parse_task_description(raw, catalog)
-    else:
-        if not args.keypoints:
-            raise HandoverError("infer needs --keypoints or --endpoint")
-        query = IntentQuery(text=args.text, keypoints=_load_keypoints(args.keypoints))
-        task = resolve_intent_rules(query, catalog)
     print(json.dumps(task.to_dict(), sort_keys=True))
     return 0
 

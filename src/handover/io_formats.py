@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,28 +120,6 @@ def save_ply(cloud: ObjectCloud, path, binary: bool = True) -> None:
 
 # --- scene export ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SceneEntry:
-    label: str
-    vertices: np.ndarray  # (N, 3)
-    faces: np.ndarray | None = None  # (F, 3) 0-based
-    normals: np.ndarray | None = None  # (N, 3)
-    color: tuple[float, float, float] = (0.7, 0.7, 0.7)
-
-
-@dataclass(frozen=True, eq=False)
-class SceneExport:
-    entries: tuple[SceneEntry, ...]
-
-    def __post_init__(self):
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError("scene entry labels must be unique")
-        for entry in self.entries:
-            if not np.all(np.isfinite(entry.vertices)):
-                raise ValueError(f"entry {entry.label!r} has non-finite vertices")
-
-
 def tessellate_sphere(center, radius: float):
     """UV-sphere mesh (vertices, faces) around center: 6 latitude bands of 8
     longitude steps, 42 vertices and 80 triangles."""
@@ -180,75 +157,39 @@ def tessellate_sphere(center, radius: float):
     return np.array(verts), np.array(faces, dtype=int)
 
 
-def scene_from_configuration(config, hand_faces: np.ndarray | None = None) -> SceneExport:
-    """Three-group scene: object cloud, hand mesh, gripper proxy spheres."""
-    sphere_centers = config.grasp.transform.apply(GRIPPER.sphere_centers)
+def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:
+    """One OBJ file of three groups in a fixed order: the object's points with
+    their normals, the hand mesh (its points when ``hand_faces`` is None) and
+    the gripper's proxy spheres. Numbers are written as ``.9g`` text."""
+    fmt = lambda v: format(float(v), ".9g")  # noqa: E731 - local formatter
     g_verts, g_faces = [], []
     offset = 0
-    for center, radius in zip(sphere_centers, GRIPPER.sphere_radii):
+    for center, radius in zip(config.grasp.transform.apply(GRIPPER.sphere_centers),
+                              GRIPPER.sphere_radii):
         verts, faces = tessellate_sphere(center, float(radius))
         g_verts.append(verts)
         g_faces.append(faces + offset)
         offset += verts.shape[0]
-    entries = (
-        SceneEntry(
-            label="object",
-            vertices=config.cloud.points,
-            normals=config.cloud.normals,
-            color=(0.65, 0.65, 0.72),
-        ),
-        SceneEntry(
-            label="hand",
-            vertices=config.hand.vertices,
-            faces=hand_faces,
-            color=(0.9, 0.75, 0.6),
-        ),
-        SceneEntry(
-            label="gripper",
-            vertices=np.vstack(g_verts),
-            faces=np.vstack(g_faces),
-            color=(0.3, 0.5, 0.9),
-        ),
-    )
-    return SceneExport(entries=entries)
-
-
-def write_obj(scene: SceneExport, path) -> None:
-    """Single OBJ file, one group per entry, deterministic vertex order."""
-    fmt = lambda v: format(float(v), ".9g")  # noqa: E731 - local formatter
-    lines = ["# handover scene export"]
-    for entry in scene.entries:
-        r, g, b = entry.color
-        lines.append(f"# color {entry.label} {fmt(r)} {fmt(g)} {fmt(b)}")
-    v_base = 1
-    vn_base = 1
-    for entry in scene.entries:
-        lines.append(f"g {entry.label}")
-        lines.append(f"usemtl {entry.label}")
-        for vertex in entry.vertices:
-            lines.append(f"v {fmt(vertex[0])} {fmt(vertex[1])} {fmt(vertex[2])}")
-        has_normals = entry.normals is not None
-        if has_normals:
-            for normal in entry.normals:
-                lines.append(f"vn {fmt(normal[0])} {fmt(normal[1])} {fmt(normal[2])}")
-        if entry.faces is not None:
-            for face in entry.faces:
-                if has_normals:
-                    lines.append(
-                        "f "
-                        + " ".join(f"{v_base + int(i)}//{vn_base + int(i)}" for i in face)
-                    )
-                else:
-                    lines.append("f " + " ".join(str(v_base + int(i)) for i in face))
+    lines = [
+        "# handover scene export",
+        "# color object 0.65 0.65 0.72",
+        "# color hand 0.9 0.75 0.6",
+        "# color gripper 0.3 0.5 0.9",
+    ]
+    base = 1
+    for label, vertices, normals, faces in (
+        ("object", config.cloud.points, config.cloud.normals, None),
+        ("hand", config.hand.vertices, None, hand_faces),
+        ("gripper", np.vstack(g_verts), None, np.vstack(g_faces)),
+    ):
+        lines += [f"g {label}", f"usemtl {label}"]
+        lines += [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in vertices]
+        if normals is not None:
+            lines += [f"vn {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in normals]
+        if faces is None:
+            lines += [f"p {base + i}" for i in range(vertices.shape[0])]
         else:
-            for i in range(entry.vertices.shape[0]):
-                lines.append(f"p {v_base + i}")
-        v_base += entry.vertices.shape[0]
-        if has_normals:
-            vn_base += entry.normals.shape[0]
+            lines += ["f " + " ".join(str(base + int(i)) for i in face) for face in faces]
+        base += vertices.shape[0]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:
-    write_obj(scene_from_configuration(config, hand_faces), path)

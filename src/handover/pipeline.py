@@ -72,8 +72,6 @@ from .hand_model import (
 from .intent import TaskDescription
 
 CONFIG_SCHEMA = "handover-config/2"
-# /1 held the cloud, vertex and joint arrays as JSON number lists.
-_READABLE_CONFIG_SCHEMAS = ("handover-config/1", CONFIG_SCHEMA)
 TARGET_SCHEMA = "end-effector-target/1"
 # Little-endian float64 keeps the record's large arrays bit-exact.
 _RECORD_DTYPE = "<f8"
@@ -208,7 +206,8 @@ class HandoverConfiguration:
     imagine_configuration and the loader build it the same way:
     ``hand_frame`` is hand_frame_of(hand), and ``validation`` is
     validate_configuration against GRIPPER and the margin, whose measured
-    clearance ``selection`` records.
+    clearance ``selection`` records. The task, receiving pose and posed hand
+    must agree on handedness, else ModelMismatch.
     """
 
     task: TaskDescription
@@ -225,6 +224,9 @@ class HandoverConfiguration:
     validation: ValidationReport = field(init=False)
 
     def __post_init__(self):
+        hands = (self.task.handedness, self.hand_pose.handedness, self.hand.handedness)
+        if len(set(hands)) > 1:
+            raise ModelMismatch(f"task, hand_pose and hand handedness differ: {', '.join(hands)}")
         object.__setattr__(self, "hand_frame", hand_frame_of(self.hand))
         report = validate_configuration(self, GRIPPER, self.clearance_margin)
         clearance = report.checks["clearance"]
@@ -276,8 +278,8 @@ class HandoverConfiguration:
         is read from ``validation.clearance.limit``. A record whose stored
         hand_frame, selection or validation differs from the derived one, as
         JSON text, is a SchemaError naming that part."""
-        if not isinstance(data, dict) or data.get("schema") not in _READABLE_CONFIG_SCHEMAS:
-            raise SchemaError(f"expected one of the schemas {_READABLE_CONFIG_SCHEMAS}")
+        if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
+            raise SchemaError(f"expected schema {CONFIG_SCHEMA!r}; re-run imagine to write one")
         with reading("configuration record"):
             cloud_rec, hand_rec, selection = data["cloud"], data["hand"], data["selection"]
             margin = _record_scalar(
@@ -350,12 +352,9 @@ def _record_index(value, name: str) -> int:
     return int(frozen_array(value, (), SchemaError, name, int))
 
 
-def _record_array(value, shape: tuple, name: str):
-    """One large array of a record: base64 float64 (/2), else a /1 number list
-    that the dataclass keeping it checks."""
-    if isinstance(value, str):
-        return decode_array(value, shape, name, _RECORD_DTYPE)
-    return value
+def _record_array(value, shape: tuple, name: str) -> np.ndarray:
+    """One large array of a record: base64 of little-endian float64, else SchemaError."""
+    return decode_array(value, shape, name, _RECORD_DTYPE)
 
 
 def save_configuration(config: HandoverConfiguration, path) -> None:

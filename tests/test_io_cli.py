@@ -15,15 +15,7 @@ from handover.errors import (
 )
 from handover.hand_model import decode_array, encode_array
 from handover.intent import TaskDescription, save_catalog, save_corpus
-from handover.io_formats import (
-    SceneEntry,
-    SceneExport,
-    export_scene,
-    load_ply,
-    save_ply,
-    tessellate_sphere,
-    write_obj,
-)
+from handover.io_formats import export_scene, load_ply, save_ply, tessellate_sphere
 
 from helpers import candidate_set, default_pose_library
 
@@ -146,17 +138,6 @@ class TestObjExport:
         f = faces.shape[0]
         assert verts.shape[0] - (3 * f) / 2 + f == 2
 
-    def test_duplicate_labels_rejected(self):
-        entry = SceneEntry(label="x", vertices=np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            SceneExport(entries=(entry, entry))
-
-    def test_scene_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SceneExport(
-                entries=(SceneEntry(label="x", vertices=np.array([[np.nan, 0, 0]])),)
-            )
-
 
 @pytest.fixture()
 def workdir(tmp_path, catalog):
@@ -200,6 +181,18 @@ class TestCli:
             ]
         )
         assert rc == 1
+
+    def test_infer_reaches_the_settings_file_endpoint(self, workdir, capsys, monkeypatch):
+        """With no flag, no variable and no keypoints, the settings file's URL
+        is asked: a closed port is a TransportError, exit 1."""
+        monkeypatch.delenv("HANDOVER_ENDPOINT_URL", raising=False)
+        path = workdir / "settings.json"
+        path.write_text(json.dumps({"endpoint": {"base_url": "http://127.0.0.1:9/v1"}}))
+        rc = main(["--settings", str(path), "infer", "--text", "I need a knife",
+                   "--catalog", str(workdir / "catalog.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "TransportError" in err and "Traceback" not in err
 
     def test_imagine_match_export_flow(self, workdir, capsys):
         config_path = workdir / "config.json"
@@ -823,6 +816,11 @@ def _reflected_rotation(matrix):
                      id="record-score-nan"),
         pytest.param("--config", _edited("config.json", ("hand", "handedness"), "x"),
                      id="record-handedness"),
+        # A record's task, receiving pose and posed hand name one handedness.
+        pytest.param("--config", _edited("config.json", ("task", "hand"), "left"),
+                     id="record-task-hand-flipped"),
+        pytest.param("--config", _edited("config.json", ("hand_pose", "handedness"), "left"),
+                     id="record-pose-hand-flipped"),
         pytest.param("--config", _overflowing("config.json", ("selection", "score")),
                      id="record-score-1e999"),
         pytest.param("--config", _overflowing("config.json", ("selection", "clearance_m")),

@@ -567,7 +567,7 @@ class TestValidateConfiguration:
 
 
 def _v1_json_dict(config):
-    """The handover-config/1 writer, kept as the reference for reading /1."""
+    """The handover-config/1 writer: its records held the arrays as number lists."""
     cloud = config.cloud
     return {
         "schema": "handover-config/1",
@@ -604,16 +604,6 @@ def _record_arrays(config):
         "grasp.matrix": config.grasp.transform.as_matrix(),
         "hand_frame.center": config.hand_frame.center,
     }
-
-
-SCHEMAS = ("handover-config/1", "handover-config/2")
-
-
-def _write_record(config, path, schema):
-    if schema == "handover-config/1":
-        path.write_text(json.dumps(_v1_json_dict(config), sort_keys=True))
-    else:
-        save_configuration(config, path)
 
 
 def _assert_bitwise(a, b):
@@ -661,50 +651,37 @@ def _assert_rejected(config, tmp_path, capsys, corrupt):
 
 class TestSerialization:
     def test_file_round_trip(self, cylinder_config, tmp_path):
-        for schema in SCHEMAS:
-            path = tmp_path / "config.json"
-            _write_record(cylinder_config, path, schema)
-            loaded = load_configuration(path)
-            assert loaded.task == cylinder_config.task
-            before, after = _record_arrays(cylinder_config), _record_arrays(loaded)
-            for name in before:
-                _assert_bitwise(before[name], after[name])
-            assert loaded.validation.passed
-            # either schema reloads to the same /2 text
-            assert loaded.to_json_text() == cylinder_config.to_json_text()
-
-    def test_record_differs_from_v1_only_in_schema_and_arrays(self, cylinder_config):
-        new, old = cylinder_config.to_json_dict(), _v1_json_dict(cylinder_config)
-        assert new["schema"] == "handover-config/2"
-        arrays = {("cloud", "points"), ("cloud", "normals"), ("hand", "vertices"),
-                  ("hand", "joints")}
-        assert set(new) == set(old)
-        for key in set(new) - {"schema", "cloud", "hand"}:
-            assert new[key] == old[key]
-        for key in ("cloud", "hand"):
-            assert set(new[key]) == set(old[key])
-            for field_name in new[key]:
-                if (key, field_name) not in arrays:
-                    assert new[key][field_name] == old[key][field_name]
-        for key, field_name in arrays:
-            raw = base64.b64decode(new[key][field_name], validate=True)
-            decoded = np.frombuffer(raw, dtype="<f8").reshape(-1, 3)
-            _assert_bitwise(decoded, np.array(old[key][field_name], dtype=float))
+        path = tmp_path / "config.json"
+        save_configuration(cylinder_config, path)
+        loaded = load_configuration(path)
+        assert loaded.task == cylinder_config.task
+        before, after = _record_arrays(cylinder_config), _record_arrays(loaded)
+        for name in before:
+            _assert_bitwise(before[name], after[name])
+        assert loaded.validation.passed
+        assert loaded.to_json_text() == cylinder_config.to_json_text()
 
     def test_match_after_reload_is_identical(self, cylinder_config, tmp_path):
         motion = RigidTransform(rot_z(0.4), np.array([0.1, 0.2, 0.3]))
         observed = motion.apply(cylinder_config.hand.joints)
         a = match_to_observation(cylinder_config, observed)
-        for schema in SCHEMAS:
-            path = tmp_path / "config.json"
-            _write_record(cylinder_config, path, schema)
-            b = match_to_observation(load_configuration(path), observed)
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.quaternion, b.quaternion)
-            assert np.array_equal(a.transform.as_matrix(), b.transform.as_matrix())
+        path = tmp_path / "config.json"
+        save_configuration(cylinder_config, path)
+        b = match_to_observation(load_configuration(path), observed)
+        assert np.array_equal(a.position, b.position)
+        assert np.array_equal(a.quaternion, b.quaternion)
+        assert np.array_equal(a.transform.as_matrix(), b.transform.as_matrix())
 
     def test_rejects_wrong_schema(self, cylinder_config, tmp_path, capsys):
         _assert_rejected(cylinder_config, tmp_path, capsys, _old_schema)
+
+    def test_rejects_v1_record(self, cylinder_config, tmp_path, capsys):
+        """A handover-config/1 record is refused, even one whose derived parts
+        agree with today's rules."""
+        _assert_rejected(
+            cylinder_config, tmp_path, capsys,
+            lambda doc: doc.update(_v1_json_dict(cylinder_config)),
+        )
 
     @pytest.mark.parametrize("corrupt", [_truncated_points, _short_vertices, _ragged_normals])
     def test_rejects_corrupt_arrays(self, cylinder_config, tmp_path, capsys, corrupt):
