@@ -28,6 +28,7 @@ from .errors import (
 from .grasp import SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
+    ENDPOINT_URL_ENV,
     EndpointConfig,
     EndpointResolver,
     IntentQuery,
@@ -70,10 +71,17 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
         )
 
 
-def _endpoint_config(args, settings: dict) -> EndpointConfig:
-    """Endpoint settings: the flags first, then the environment, then the settings file."""
+def _endpoint(args, settings: dict) -> EndpointConfig | None:
+    """The endpoint whose URL --endpoint names, else HANDOVER_ENDPOINT_URL, else
+    the settings file, its other fields resolved in that order too; None when
+    none of them names a URL."""
+    section = settings.get("endpoint")
+    if isinstance(section, (dict, type(None))) and not pick_setting(
+        args.endpoint, section or {}, "base_url", ENDPOINT_URL_ENV
+    ):
+        return None
     return EndpointConfig.from_env(
-        settings.get("endpoint"), base_url=args.endpoint, model=args.model, timeout_s=args.timeout
+        section, base_url=args.endpoint, model=args.model, timeout_s=args.timeout
     )
 
 
@@ -91,15 +99,17 @@ def _emit_timing(name: str, seconds: float) -> None:
 # --- subcommands -----------------------------------------------------------------
 
 def _cmd_infer(args) -> int:
-    """--endpoint asks the endpoint; else --keypoints runs the rules; else the
-    endpoint named by the environment or the settings file, if any."""
+    """--keypoints without --endpoint runs the rules; otherwise the endpoint
+    that _endpoint finds is asked, and there must be one."""
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
     if args.keypoints and not args.endpoint:
         query = IntentQuery(text=args.text, keypoints=_load_keypoints(args.keypoints))
         task = resolve_intent_rules(query, catalog)
     else:
-        config = _endpoint_config(args, settings)
+        config = _endpoint(args, settings)
+        if config is None:
+            raise HandoverError("infer needs --keypoints or an endpoint URL")
         image_bytes = None
         if args.image:
             with open(args.image, "rb") as fh:
@@ -156,11 +166,8 @@ def _cmd_evaluate(args) -> int:
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
     corpus = load_corpus(args.corpus)
-    if args.endpoint:
-        config = _endpoint_config(args, settings)
-        resolver = EndpointResolver(catalog, config)
-    else:
-        resolver = RuleResolver(catalog)
+    config = _endpoint(args, settings)
+    resolver = RuleResolver(catalog) if config is None else EndpointResolver(catalog, config)
     report = evaluate_corpus(corpus, resolver, catalog)
 
     with open(args.report, "w", encoding="utf-8") as fh:

@@ -38,18 +38,15 @@ def frozen_array(
     Strings, bytes and booleans are not numbers here, even "12" or True, also
     inside a list such as [0.5, True].
     """
-    if type(value) is np.ndarray and value.dtype.kind == "f":
-        arr = value.astype(float)  # a copy, as np.array makes, at half its cost
-    else:
-        try:
-            arr = value if isinstance(value, np.ndarray) else np.array(value)
-            if arr.dtype.kind not in "fiu":
-                raise TypeError(f"got {arr.dtype} values")
-            if arr is not value and arr.ndim and _holds_bool(value):
-                raise TypeError("got a boolean")
-            arr = np.array(arr, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise error(f"{name} must hold numbers: {exc}") from exc
+    try:
+        arr = value if isinstance(value, np.ndarray) else np.array(value)
+        if arr.dtype.kind not in "fiu":
+            raise TypeError(f"got {arr.dtype} values")
+        if arr is not value and arr.ndim and _holds_bool(value):
+            raise TypeError("got a boolean")
+        arr = np.array(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must hold numbers: {exc}") from exc
     if arr.shape != shape and (
         arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
     ):
@@ -144,6 +141,16 @@ def cross3(a, b) -> np.ndarray:
     a0, a1, a2 = a.T
     b0, b1, b2 = b.T
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
+
+
+def quad_strip_faces(starts, n: int, closed: bool = True) -> np.ndarray:
+    """Triangles (a, c, d), (a, d, b) of each quad a-b-d-c between the row of
+    ``n`` vertices from each index in ``starts`` and the row ``n`` on, in the
+    order of ``starts``, then along the row; a closed row wraps around."""
+    j = np.arange(n if closed else n - 1)
+    a = np.asarray(starts)[..., None] + j
+    b = a - j + (j + 1) % n
+    return np.stack([a, a + n, b + n, a, b + n, b], axis=-1).reshape(-1, 3)
 
 
 @dataclass(frozen=True, eq=False)

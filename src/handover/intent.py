@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     EmptyCorpus,
+    EndpointError,
     EndpointTimeout,
     HandoverError,
     NoObjectResolved,
@@ -442,7 +443,9 @@ def evaluate_corpus(
     """Run the resolver over the corpus and score per ambiguity tier.
 
     An item passes only when both the resolved object and the handedness
-    match the ground truth. Resolver failures count as failed items.
+    match the ground truth. An answer the resolver cannot turn into a task
+    counts as a failed item; an endpoint that gives no answer (EndpointError)
+    stops the run, since it scores the transport and not the resolver.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("corpus has no items")
@@ -459,6 +462,8 @@ def evaluate_corpus(
                 resolved.object_name == item.truth.object_name
                 and resolved.handedness == item.truth.handedness
             )
+        except EndpointError:
+            raise
         except HandoverError as exc:
             passed, error = False, f"{type(exc).__name__}: {exc}"
         counts[item.tier][0] += 1

@@ -8,7 +8,7 @@ import numpy as np
 
 from .cloud import ObjectCloud
 from .errors import MalformedHeader, SchemaError, UnsupportedEncoding
-from .geometry import frozen_array
+from .geometry import frozen_array, quad_strip_faces
 from .grasp import GRIPPER
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -125,36 +125,19 @@ def tessellate_sphere(center, radius: float):
     longitude steps, 42 vertices and 80 triangles."""
     n_lat, n_lon = 6, 8
     center = np.asarray(center, dtype=float)
-    verts = [center + (0.0, 0.0, radius)]
-    for i in range(1, n_lat):
-        theta = np.pi * i / n_lat
-        for j in range(n_lon):
-            phi = 2.0 * np.pi * j / n_lon
-            verts.append(
-                center
-                + radius
-                * np.array(
-                    (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
-                )
-            )
-    verts.append(center + (0.0, 0.0, -radius))
-    top, bottom = 0, len(verts) - 1
-    ring = lambda i: 1 + (i - 1) * n_lon  # noqa: E731 - tiny index helper
-
-    faces = []
-    for j in range(n_lon):
-        faces.append((top, ring(1) + j, ring(1) + (j + 1) % n_lon))
-    for i in range(1, n_lat - 1):
-        for j in range(n_lon):
-            a = ring(i) + j
-            b = ring(i) + (j + 1) % n_lon
-            c = ring(i + 1) + j
-            d = ring(i + 1) + (j + 1) % n_lon
-            faces.append((a, c, d))
-            faces.append((a, d, b))
-    for j in range(n_lon):
-        faces.append((bottom, ring(n_lat - 1) + (j + 1) % n_lon, ring(n_lat - 1) + j))
-    return np.array(verts), np.array(faces, dtype=int)
+    theta = (np.pi * np.arange(1, n_lat) / n_lat)[:, None]
+    phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
+    sin_theta = np.sin(theta)
+    unit = (sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta).repeat(n_lon, 1))
+    poles = center + np.array([(0.0, 0.0, radius), (0.0, 0.0, -radius)])
+    verts = np.vstack([poles[:1], (center + radius * np.stack(unit, -1)).reshape(-1, 3), poles[1:]])
+    # Fans at the poles (vertex 0 and the last), quads between the rings.
+    j = np.arange(n_lon)
+    first, last = 1, 1 + (n_lat - 2) * n_lon
+    top = np.column_stack([np.zeros_like(j), first + j, first + (j + 1) % n_lon])
+    bottom = np.column_stack([np.full_like(j, len(verts) - 1), last + (j + 1) % n_lon, last + j])
+    middle = quad_strip_faces(first + n_lon * np.arange(n_lat - 2), n_lon)
+    return verts, np.concatenate([top, middle, bottom])
 
 
 def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cloud import ObjectCloud
-from .geometry import cross3
+from .geometry import cross3, quad_strip_faces, row_dot
 from .hand_model import (
     KEYPOINT_DRIVER,
     NUM_KEYPOINTS,
@@ -58,15 +58,6 @@ _STATIONS = np.linspace(0.1, 0.95, 5)
 _RING_SIZE = 5
 
 
-def _perp_pair(axis: np.ndarray):
-    pick = int(np.argmin(np.abs(axis)))
-    basis = np.zeros(3)
-    basis[pick] = 1.0
-    u = cross3(axis, basis)
-    u /= np.linalg.norm(u)
-    return u, cross3(axis, u)
-
-
 @lru_cache(maxsize=4)
 def synthetic_hand_params(handedness: str = "right") -> HandModelParams:
     """Deterministic 778-vertex hand with exact keypoint regression.
@@ -79,88 +70,65 @@ def synthetic_hand_params(handedness: str = "right") -> HandModelParams:
         return synthetic_hand_params("right").mirrored()
 
     keypoints = _REST_KEYPOINTS_RIGHT
-    vertices: list[np.ndarray] = []
-    weight_rows: list[dict[int, float]] = []
-    faces: list[tuple[int, int, int]] = []
-
     # Keypoint rings: the mean of each quadruple is exactly the keypoint.
-    offsets = _RING_RADIUS * np.array(
-        [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=float
-    )
-    for i in range(NUM_KEYPOINTS):
-        for off in offsets:
-            vertices.append(keypoints[i] + off)
-            weight_rows.append({int(KEYPOINT_DRIVER[i]): 1.0})
+    offsets = _RING_RADIUS * np.array([(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], dtype=float)
+    rings = (keypoints[:, None] + offsets).reshape(-1, 3)
 
-    # Finger tubes: 3 segments per finger, 5 stations x 5 ring points + 1.
-    for finger in range(5):
-        for segment in range(3):
-            a = keypoints[1 + 4 * finger + segment]
-            b = keypoints[1 + 4 * finger + segment + 1]
-            joint = 3 * finger + 1 + segment
-            axis = (b - a) / np.linalg.norm(b - a)
-            u, v = _perp_pair(axis)
-            base = len(vertices)
-            for t in _STATIONS:
-                center = a + t * (b - a)
-                radius = 0.008 * (1.0 - 0.35 * t)
-                if t >= 0.75 and segment < 2:
-                    blend = 0.5 * (t - 0.75) / 0.25
-                    row = {joint: 1.0 - blend, joint + 1: blend}
-                else:
-                    row = {joint: 1.0}
-                for m in range(_RING_SIZE):
-                    ang = 2.0 * np.pi * m / _RING_SIZE
-                    vertices.append(center + radius * (np.cos(ang) * u + np.sin(ang) * v))
-                    weight_rows.append(dict(row))
-            for s in range(len(_STATIONS) - 1):
-                for m in range(_RING_SIZE):
-                    a0 = base + s * _RING_SIZE + m
-                    a1 = base + s * _RING_SIZE + (m + 1) % _RING_SIZE
-                    faces.append((a0, a0 + _RING_SIZE, a1 + _RING_SIZE))
-                    faces.append((a0, a1 + _RING_SIZE, a1))
-            vertices.append(a + 0.5 * (b - a) + 0.004 * u)
-            weight_rows.append({joint: 1.0})
+    # Finger tubes: 15 segments (3 per finger, joints 1..15) of 5 stations x 5
+    # ring points, then one point beside each segment's middle.
+    seg = np.arange(15)
+    a = keypoints[1 + seg + seg // 3]
+    d = keypoints[2 + seg + seg // 3] - a
+    axis = d / np.sqrt(row_dot(d, d))[:, None]
+    u = cross3(axis, np.eye(3)[np.argmin(np.abs(axis), axis=1)])
+    u /= np.sqrt(row_dot(u, u))[:, None]
+    v = cross3(axis, u)
+    ang = (2.0 * np.pi * np.arange(_RING_SIZE) / _RING_SIZE)[:, None]
+    spokes = np.cos(ang) * u[:, None] + np.sin(ang) * v[:, None]
+    centers = a[:, None] + _STATIONS[:, None] * d[:, None]
+    radius = 0.008 * (1.0 - 0.35 * _STATIONS)
+    tube_rings = centers[:, :, None] + radius[:, None, None] * spokes[:, None]
+    tubes = np.concatenate([tube_rings.reshape(15, -1, 3), (a + 0.5 * d + 0.004 * u)[:, None]], 1)
 
     # Palm slab: 19 x 8 bilinear grid on two z-layers, all wrist-weighted.
-    near_lo, near_hi = np.array((0.004, -0.034, 0.0)), np.array((0.004, 0.052, 0.0))
-    far_lo, far_hi = np.array((0.082, -0.030, 0.0)), np.array((0.078, 0.052, 0.0))
+    near = np.array([(0.004, -0.034, 0.0), (0.004, 0.052, 0.0)])  # its lo and hi corners
+    far = np.array([(0.082, -0.030, 0.0), (0.078, 0.052, 0.0)])
     nx, ny = 19, 8
-    for layer, z in enumerate((0.009, -0.009)):
-        base = len(vertices)
-        for i in range(nx):
-            s = i / (nx - 1)
-            lo = near_lo + s * (far_lo - near_lo)
-            hi = near_hi + s * (far_hi - near_hi)
-            for j in range(ny):
-                t = j / (ny - 1)
-                vertices.append(lo + t * (hi - lo) + np.array((0.0, 0.0, z)))
-                weight_rows.append({0: 1.0})
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                c00 = base + i * ny + j
-                c01, c10, c11 = c00 + 1, c00 + ny, c00 + ny + 1
-                if layer == 0:
-                    faces.append((c00, c10, c11))
-                    faces.append((c00, c11, c01))
-                else:
-                    faces.append((c00, c11, c10))
-                    faces.append((c00, c01, c11))
+    lo_hi = near + (np.arange(nx) / (nx - 1))[:, None, None] * (far - near)
+    lo, hi = lo_hi[:, :1], lo_hi[:, 1:]
+    grid = lo + (np.arange(ny) / (ny - 1))[:, None] * (hi - lo)
+    palm = grid + np.array([(0.0, 0.0, 0.009), (0.0, 0.0, -0.009)])[:, None, None]
+    template = np.concatenate([rings, tubes.reshape(-1, 3), palm.reshape(-1, 3)])
+    tube_start, palm_start = len(rings), len(rings) + tubes.size // 3
 
-    template = np.array(vertices)
-    assert template.shape == (NUM_VERTICES, 3), template.shape
-
-    weights = np.zeros((NUM_VERTICES, 16))
-    for row, assignment in enumerate(weight_rows):
-        for joint, value in assignment.items():
-            weights[row, joint] = value
+    # Each vertex follows one joint, but the rings past t = 0.75 on proximal
+    # and middle segments hand a share of their weight to the next joint.
+    joints = np.zeros(NUM_VERTICES, dtype=int)  # the palm follows the wrist
+    joints[:tube_start] = np.repeat(KEYPOINT_DRIVER, 4)
+    joints[tube_start:palm_start] = np.repeat(seg + 1, tubes.shape[1])
+    blend = np.zeros(NUM_VERTICES)
+    blend[tube_start:palm_start].reshape(15, -1)[seg % 3 < 2, :-1] = np.repeat(
+        np.where(_STATIONS >= 0.75, 0.5 * (_STATIONS - 0.75) / 0.25, 0.0), _RING_SIZE
+    )
+    weights = np.eye(16)[joints] * (1.0 - blend)[:, None]
+    shared = np.flatnonzero(blend)
+    weights[shared, joints[shared] + 1] += blend[shared]
 
     regressor = np.zeros((NUM_KEYPOINTS, NUM_VERTICES))
-    for i in range(NUM_KEYPOINTS):
-        regressor[i, 4 * i : 4 * i + 4] = 0.25
+    regressor[:, :tube_start] = np.repeat(0.25 * np.eye(NUM_KEYPOINTS), 4, axis=1)
 
     shape_dirs = np.zeros((NUM_VERTICES, 3, NUM_SHAPE_DIRS))
     shape_dirs[:, :, 0] = template  # direction 0: uniform scale about the wrist
+
+    # Quads between a tube's stations and between the palm's rows; the lower
+    # palm layer is wound the other way, to face -z.
+    tube_faces = quad_strip_faces(
+        tube_start + tubes.shape[1] * seg[:, None] + _RING_SIZE * np.arange(4), _RING_SIZE
+    )
+    palm_faces = quad_strip_faces(
+        palm_start + nx * ny * np.arange(2)[:, None] + ny * np.arange(nx - 1), ny, closed=False
+    ).reshape(2, -1, 3)
+    palm_faces[1] = palm_faces[1][:, [0, 2, 1]]
 
     return HandModelParams(
         template_vertices=template,
@@ -169,7 +137,7 @@ def synthetic_hand_params(handedness: str = "right") -> HandModelParams:
         parents=PARENTS,
         handedness="right",
         shape_dirs=shape_dirs,
-        faces=np.array(faces, dtype=int),
+        faces=np.concatenate([tube_faces, palm_faces.reshape(-1, 3)]),
     )
 
 
@@ -188,15 +156,12 @@ def cylinder_cloud(
     name: str = "cylinder",
 ) -> ObjectCloud:
     """Lateral cylinder surface (axis +z) with exact radial normals."""
-    points, normals = [], []
-    for zi in range(rings):
-        z = -height / 2 + height * (zi + 0.5) / rings
-        for k in range(per_ring):
-            ang = 2.0 * np.pi * k / per_ring
-            n = np.array((np.cos(ang), np.sin(ang), 0.0))
-            points.append(radius * n + np.array((0.0, 0.0, z)))
-            normals.append(n)
-    return ObjectCloud(name, np.array(points), np.array(normals))
+    ang = 2.0 * np.pi * np.arange(per_ring) / per_ring
+    ring = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(per_ring)])
+    normals = np.tile(ring, (rings, 1))
+    offsets = np.zeros_like(normals)
+    offsets[:, 2] = np.repeat(-height / 2 + height * (np.arange(rings) + 0.5) / rings, per_ring)
+    return ObjectCloud(name, radius * normals + offsets, normals)
 
 
 def box_cloud(
@@ -206,22 +171,13 @@ def box_cloud(
 ) -> ObjectCloud:
     """Axis-aligned box surface sampled per face, with face normals."""
     half = np.asarray(size, dtype=float) / 2.0
-    grid = (np.arange(per_edge) + 0.5) / per_edge  # interior samples only
-    points, normals = [], []
-    for axis in range(3):
-        u_axis, v_axis = (axis + 1) % 3, (axis + 2) % 3
-        for sign in (1.0, -1.0):
-            normal = np.zeros(3)
-            normal[axis] = sign
-            for gu in grid:
-                for gv in grid:
-                    p = np.zeros(3)
-                    p[axis] = sign * half[axis]
-                    p[u_axis] = (2.0 * gu - 1.0) * half[u_axis]
-                    p[v_axis] = (2.0 * gv - 1.0) * half[v_axis]
-                    points.append(p)
-                    normals.append(normal.copy())
-    return ObjectCloud(name, np.array(points), np.array(normals))
+    grid = 2.0 * ((np.arange(per_edge) + 0.5) / per_edge) - 1.0  # interior samples only
+    # (normal axis, its two following axes) coordinates of the +/- faces, in
+    # units of the half size; rolling them by k puts the normal on axis k.
+    local = np.stack(np.meshgrid((1.0, -1.0), grid, grid, indexing="ij"), axis=-1)
+    units = np.stack([np.roll(local, k, axis=-1) for k in range(3)]).reshape(-1, 3)
+    normal_axis = np.repeat(np.eye(3, dtype=bool), 2 * per_edge**2, axis=0)
+    return ObjectCloud(name, units * half, np.where(normal_axis, units, 0.0))
 
 
 # --- receiving poses ----------------------------------------------------------------
@@ -284,36 +240,17 @@ def sample_corpus(catalog: ToolCatalog | None = None) -> list[CorpusItem]:
     unresolvable so per-tier accuracies are non-trivial.
     """
     catalog = catalog or default_catalog()
-    right = synthetic_rest_keypoints("right")
-    left = synthetic_rest_keypoints("left")
     items = []
     for i, entry in enumerate(catalog.entries):
         hand = "right" if i % 2 == 0 else "left"
-        keypoints = right if hand == "right" else left
         truth = TaskDescription(object_name=entry.name, handedness=hand)
-        items.append(
-            CorpusItem(
-                text=f"I need a {entry.name}.",
-                tier="clear",
-                truth=truth,
-                keypoints=keypoints,
-            )
-        )
         foggy_phrase = entry.synonyms[0] if entry.synonyms else entry.use_cases[0]
-        items.append(
-            CorpusItem(
-                text=f"Could you hand me the {foggy_phrase}?",
-                tier="foggy",
-                truth=truth,
-                keypoints=keypoints,
-            )
-        )
-        fuzzy_text = (
-            f"I want to {entry.use_cases[0]} now."
-            if i % 4 != 3
-            else "Give me the usual one."  # unresolvable on purpose
-        )
-        items.append(
-            CorpusItem(text=fuzzy_text, tier="fuzzy", truth=truth, keypoints=keypoints)
-        )
+        fuzzy_text = f"I want to {entry.use_cases[0]} now."
+        texts = {
+            "clear": f"I need a {entry.name}.",
+            "foggy": f"Could you hand me the {foggy_phrase}?",
+            "fuzzy": fuzzy_text if i % 4 != 3 else "Give me the usual one.",  # unresolvable
+        }
+        keypoints = synthetic_rest_keypoints(hand)
+        items += [CorpusItem(text, tier, truth, keypoints) for tier, text in texts.items()]
     return items

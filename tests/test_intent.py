@@ -338,6 +338,16 @@ class TestEndpointClient:
         )
         assert resolver(item) == TaskDescription("knife", "left")
 
+    def test_unreachable_endpoint_stops_the_evaluation(self, catalog):
+        """A closed port gives no answer to score: the run raises, where it
+        once reported every item failed and 0% accuracy."""
+        resolver = EndpointResolver(
+            catalog, EndpointConfig(base_url="http://127.0.0.1:9/ok", timeout_s=0.5, retries=0)
+        )
+        item = CorpusItem(text="anything", tier="clear", truth=TaskDescription("knife", "left"))
+        with pytest.raises(TransportError):
+            evaluate_corpus([item], resolver, catalog)
+
     def test_config_from_env(self, monkeypatch):
         monkeypatch.setenv("HANDOVER_ENDPOINT_URL", "http://example.invalid/v1")
         monkeypatch.setenv("HANDOVER_ENDPOINT_TOKEN", "secret")

@@ -194,6 +194,29 @@ class TestCli:
         assert rc == 1
         assert "TransportError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["environment", "settings-file"])
+    def test_evaluate_finds_the_endpoint_as_infer_does(self, workdir, capsys, monkeypatch,
+                                                        source):
+        """With no --endpoint, evaluate asks the URL that the environment or
+        the settings file names: a closed port is a TransportError, exit 1,
+        and no report is written."""
+        url = "http://127.0.0.1:9/v1"
+        monkeypatch.delenv("HANDOVER_ENDPOINT_URL", raising=False)
+        argv = []
+        if source == "environment":
+            monkeypatch.setenv("HANDOVER_ENDPOINT_URL", url)
+        else:
+            path = workdir / "settings.json"
+            path.write_text(json.dumps({"endpoint": {"base_url": url}}))
+            argv = ["--settings", str(path)]
+        report = workdir / "report.json"
+        rc = main(argv + ["evaluate", "--corpus", str(workdir / "corpus.json"),
+                          "--catalog", str(workdir / "catalog.json"), "--report", str(report)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "TransportError" in err and "Traceback" not in err
+        assert not report.exists()
+
     def test_imagine_match_export_flow(self, workdir, capsys):
         config_path = workdir / "config.json"
         rc = main(
@@ -394,7 +417,8 @@ class TestCli:
                          "message": "configuration failed validation: clearance"}
         assert not target_path.exists()
 
-    def test_evaluate_writes_json_and_csv(self, workdir, capsys):
+    def test_evaluate_writes_json_and_csv(self, workdir, capsys, monkeypatch):
+        monkeypatch.delenv("HANDOVER_ENDPOINT_URL", raising=False)
         report_path = workdir / "report.json"
         rc = main(
             [
