@@ -3,22 +3,20 @@
 
 By default the deterministic rule-based resolver is scored; pass --endpoint
 to score a live chat-completion endpoint instead (the URL can also come from
-the HANDOVER_ENDPOINT_URL environment variable).
+the HANDOVER_ENDPOINT_URL environment variable), found by the rule that
+``handover evaluate`` uses. As there, an endpoint that cannot be asked ends
+the run with exit 1 and its error on stderr.
 """
 
 import argparse
 import json
-import os
+import sys
 from pathlib import Path
 
 from handover import synthetic
-from handover.intent import (
-    ENDPOINT_URL_ENV,
-    EndpointConfig,
-    EndpointResolver,
-    RuleResolver,
-    evaluate_corpus,
-)
+from handover.cli import _endpoint
+from handover.errors import HandoverError
+from handover.intent import EndpointResolver, RuleResolver, evaluate_corpus
 
 
 def main():
@@ -27,22 +25,24 @@ def main():
     parser.add_argument("--model", default=None)
     parser.add_argument("--report", default="intent_report.json")
     parser.add_argument("--show-failures", action="store_true")
+    parser.set_defaults(timeout=None)  # _endpoint's timeout flag, which this script lacks
     args = parser.parse_args()
 
     catalog = synthetic.default_catalog()
     corpus = synthetic.sample_corpus(catalog)
 
-    url = args.endpoint or os.environ.get(ENDPOINT_URL_ENV)
-    if url:
-        resolver = EndpointResolver(
-            catalog, EndpointConfig.from_env(base_url=url, model=args.model)
-        )
-        print(f"resolver: endpoint {url}")
-    else:
-        resolver = RuleResolver(catalog)
-        print("resolver: offline rules")
-
-    report = evaluate_corpus(corpus, resolver, catalog)
+    try:
+        config = _endpoint(args, {})
+        if config is None:
+            resolver = RuleResolver(catalog)
+            print("resolver: offline rules")
+        else:
+            resolver = EndpointResolver(catalog, config)
+            print(f"resolver: endpoint {config.base_url}")
+        report = evaluate_corpus(corpus, resolver, catalog)
+    except HandoverError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print(report.to_csv_text(), end="")
 
     if args.show_failures:
@@ -56,7 +56,8 @@ def main():
         json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
     )
     print(f"report written to {args.report}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,8 +10,8 @@ Runs, through ``handover.cli.main`` and with every path relative to OUT_DIR:
   on a pose library whose right cylinder pose sits 2 cm below the procedural
   one;
 - ``match`` of every configuration against its imagined keypoints moved by a
-  fixed rigid motion, and ``export`` of three configurations, one with
-  ``--hand-model``;
+  fixed rigid motion, with ``--hand-model`` for those imagined with it, and
+  ``export`` of three configurations, one with ``--hand-model``;
 - ``infer --keypoints`` and ``evaluate`` on the default catalog and corpus.
 
 Every input and output file lands in OUT_DIR. ``transcript.txt`` holds each
@@ -38,11 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from handover import io_formats, pipeline, synthetic
+from handover.cli import _hand_models
 from handover.cli import main as handover
 from handover.cloud import ObjectCloud
 from handover.geometry import RigidTransform, rot_z
 from handover.grasp import antipodal_candidates, save_candidates
-from handover.hand_model import HandPose, save_hand_model
+from handover.hand_model import HandPose, load_hand_model, save_hand_model
 from handover.intent import save_catalog, save_corpus
 
 HANDS = ("right", "left")
@@ -88,18 +89,24 @@ def run(log, *argv: str) -> int:
     return rc
 
 
-def imagine_and_match(log, stem: str, cloud: str, hand: str, candidates: list[str]) -> None:
+def imagine_and_match(log, stem: str, cloud: str, hand: str, candidates: list[str],
+                      hand_model: str | None = None) -> None:
     """imagine into <stem>.json with the ``candidates`` flags, then match it to
-    its moved keypoints."""
+    its moved keypoints; a record imagined with the model file ``hand_model``
+    is read with it, as ``match --hand-model`` reads it."""
     run(log, "imagine", "--task", f"task_{cloud}_{hand}.json", "--cloud", f"{cloud}.ply",
         *candidates, "--out", f"{stem}.json")
     if not Path(f"{stem}.json").exists():
         return
-    config = pipeline.load_configuration(f"{stem}.json")
+    models, model_flags = None, []
+    if hand_model is not None:
+        models = _hand_models(load_hand_model(hand_model))
+        model_flags = ["--hand-model", hand_model]
+    config = pipeline.load_configuration(f"{stem}.json", models)
     observed = MOTION.apply(config.hand.joints)
     Path(f"{stem}_observed.json").write_text(json.dumps(observed.tolist()))
     run(log, "match", "--config", f"{stem}.json", "--observed-keypoints",
-        f"{stem}_observed.json", "--out", f"{stem}_target.json")
+        f"{stem}_observed.json", *model_flags, "--out", f"{stem}_target.json")
 
 
 def main():
@@ -133,7 +140,8 @@ def main():
     with open("transcript_hand_inputs.txt", "w", encoding="utf-8") as log:
         for hand in HANDS:
             imagine_and_match(log, f"model_{hand}", "cylinder", hand,
-                              ["--sample-antipodal", "--hand-model", "hand_model.json"])
+                              ["--sample-antipodal", "--hand-model", "hand_model.json"],
+                              "hand_model.json")
         imagine_and_match(log, "poses_right", "cylinder", "right",
                           ["--sample-antipodal", "--poses", "poses.json"])
         run(log, "export", "--config", "model_left.json", "--hand-model", "hand_model.json",

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import io_formats, pipeline, synthetic
+from . import io_formats, pipeline
 from .errors import (
     HandoverError,
     InputFormatError,
@@ -85,9 +85,8 @@ def _endpoint(args, settings: dict) -> EndpointConfig | None:
     )
 
 
-def _hand_models(path) -> dict:
-    """The model of a hand-model file and its mirror image, by handedness."""
-    params = load_hand_model(path)
+def _hand_models(params) -> dict:
+    """A hand model and its mirror image, by handedness."""
     mirrored = params.mirrored()
     return {params.handedness: params, mirrored.handedness: mirrored}
 
@@ -140,7 +139,7 @@ def _cmd_imagine(args) -> int:
 
     config = pipeline.PipelineConfig.default(selection=_selection_config(args, settings))
     if args.hand_model:
-        config = replace(config, hand_models=_hand_models(args.hand_model))
+        config = replace(config, hand_models=_hand_models(load_hand_model(args.hand_model)))
     start = time.perf_counter()
     result = pipeline.imagine_configuration(task, cloud, hand_provider, grasp_provider, config)
     _emit_timing("imagine_time_s", time.perf_counter() - start)
@@ -150,7 +149,8 @@ def _cmd_imagine(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    config = pipeline.load_configuration(args.config)
+    models = _hand_models(load_hand_model(args.hand_model)) if args.hand_model else None
+    config = pipeline.load_configuration(args.config, models)
     joints = _load_keypoints(args.observed_keypoints)
     start = time.perf_counter()
     target = pipeline.match_to_observation(config, joints)
@@ -180,11 +180,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    config = pipeline.load_configuration(args.config)
     if args.hand_model:
-        faces = load_hand_model(args.hand_model).faces
+        params = load_hand_model(args.hand_model)
+        config = pipeline.load_configuration(args.config, _hand_models(params))
+        faces = params.faces  # the file's own faces, for its mirror image too
     else:
-        faces = synthetic.synthetic_hand_params(config.hand.handedness).faces
+        config = pipeline.load_configuration(args.config)
+        faces = config.hand_model.faces
     io_formats.export_scene(config, args.out, hand_faces=faces)
     print(args.out)
     return 0
@@ -230,6 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="match a configuration to observed keypoints")
     p.add_argument("--config", required=True)
     p.add_argument("--observed-keypoints", required=True)
+    p.add_argument("--hand-model", help="hand model container JSON the record was imagined with")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match)
 
@@ -245,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a configuration as an OBJ scene")
     p.add_argument("--config", required=True)
-    p.add_argument("--hand-model")
+    p.add_argument("--hand-model", help="hand model container JSON the record was imagined with")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export)
     return parser

@@ -120,9 +120,19 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 def rotation_residuals(rotations) -> np.ndarray:
     """max(max|R^T R - I|, |det R - 1|) of each of a (K, 3, 3) stack: the one
     measure of how far a matrix is from a proper rotation, judged against
-    VERIFY_TOL."""
-    gram = np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).reshape(-1, 9)
-    return np.maximum(gram.max(axis=1), np.abs(np.linalg.det(rotations) - 1.0))
+    VERIFY_TOL.
+
+    R^T R is three broadcast row products and det R the cofactor expansion
+    along the first row, each summed left to right, so every value is the
+    same bits under any BLAS kernel or SIMD dispatch; ``@`` and
+    ``np.linalg.det`` are not.
+    """
+    r = np.asarray(rotations, dtype=float)
+    products = r[:, :, :, None] * r[:, :, None, :]
+    gram = (products[:, 0] + products[:, 1]) + products[:, 2] - np.eye(3)
+    cofactors = r[:, 0] * cross3(r[:, 1], r[:, 2])
+    det = (cofactors[:, 0] + cofactors[:, 1]) + cofactors[:, 2]
+    return np.maximum(np.abs(gram).reshape(-1, 9).max(axis=1), np.abs(det - 1.0))
 
 
 def cross3(a, b) -> np.ndarray:

@@ -121,6 +121,23 @@ class HandModelParams:
         keypoints.setflags(write=False)
         return keypoints
 
+    @cached_property
+    def model_sha256(self) -> str:
+        """Hex sha256 of everything lbs_forward reads: the handedness, then
+        each array's name, shape and little-endian bytes. Two models with
+        one digest pose every HandPose to the same bits."""
+        import hashlib  # here, not at module level: it loads OpenSSL, ~5 ms
+
+        digest = hashlib.sha256(self.handedness.encode("ascii"))
+        for name in ("template_vertices", "skinning_weights", "joint_regressor", "parents",
+                     "shape_dirs"):
+            value = getattr(self, name)
+            digest.update(f";{name}:{None if value is None else value.shape}:".encode("ascii"))
+            if value is not None:
+                wire = "<i8" if name == "parents" else "<f8"
+                digest.update(np.ascontiguousarray(value, dtype=wire).tobytes())
+        return digest.hexdigest()
+
     def mirrored(self) -> "HandModelParams":
         """Mirror through the xz-plane, flipping handedness."""
         template = self.template_vertices.copy()

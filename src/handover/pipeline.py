@@ -25,6 +25,7 @@ from .errors import (
     DegenerateNormal,
     DegenerateObservation,
     HandednessMismatch,
+    InvalidPoseBlock,
     ModelMismatch,
     ProviderEmpty,
     SchemaError,
@@ -71,7 +72,9 @@ from .hand_model import (
 )
 from .intent import TaskDescription
 
-CONFIG_SCHEMA = "handover-config/2"
+CONFIG_SCHEMA = "handover-config/3"
+# The schema before /3, which stored the skinned vertices; still read.
+STORED_VERTICES_SCHEMA = "handover-config/2"
 TARGET_SCHEMA = "end-effector-target/1"
 # Little-endian float64 keeps the record's large arrays bit-exact.
 _RECORD_DTYPE = "<f8"
@@ -201,13 +204,13 @@ class HandoverConfiguration:
     """Imagined handover scene in the object frame, plus its validation.
 
     It is built from its inputs: the task, cloud, receiving pose, posed hand,
-    chosen grasp, how that grasp was chosen, and the clearance margin that
-    gated it. The rest is derived here, on every construction, so
-    imagine_configuration and the loader build it the same way:
-    ``hand_frame`` is hand_frame_of(hand), and ``validation`` is
+    chosen grasp, how that grasp was chosen, the clearance margin that gated
+    it, and the hand model that posed the hand. The rest is derived here, on
+    every construction, so imagine_configuration and the loader build it the
+    same way: ``hand_frame`` is hand_frame_of(hand), and ``validation`` is
     validate_configuration against GRIPPER and the margin, whose measured
-    clearance ``selection`` records. The task, receiving pose and posed hand
-    must agree on handedness, else ModelMismatch.
+    clearance ``selection`` records. The task, receiving pose, posed hand and
+    hand model must agree on handedness, else ModelMismatch.
     """
 
     task: TaskDescription
@@ -219,14 +222,16 @@ class HandoverConfiguration:
     score: float
     fallbacks: tuple[dict, ...]
     clearance_margin: float
+    hand_model: HandModelParams
     hand_frame: HandFrame = field(init=False)
     selection: SelectionRecord = field(init=False)
     validation: ValidationReport = field(init=False)
 
     def __post_init__(self):
-        hands = (self.task.handedness, self.hand_pose.handedness, self.hand.handedness)
+        hands = (self.task.handedness, self.hand_pose.handedness, self.hand.handedness,
+                 self.hand_model.handedness)
         if len(set(hands)) > 1:
-            raise ModelMismatch(f"task, hand_pose and hand handedness differ: {', '.join(hands)}")
+            raise ModelMismatch(f"task/hand_pose/hand/model handedness differ: {', '.join(hands)}")
         object.__setattr__(self, "hand_frame", hand_frame_of(self.hand))
         report = validate_configuration(self, GRIPPER, self.clearance_margin)
         clearance = report.checks["clearance"]
@@ -264,22 +269,35 @@ class HandoverConfiguration:
             },
             "hand_pose": self.hand_pose.to_dict(),
             "hand": {
-                "vertices": encode_array(self.hand.vertices, _RECORD_DTYPE),
                 "joints": encode_array(self.hand.joints, _RECORD_DTYPE),
                 "handedness": self.hand.handedness,
+                "model_sha256": self.hand_model.model_sha256,
             },
             "grasp": self.grasp.to_dict(),
             **self._derived_json(),
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "HandoverConfiguration":
+    def from_json_dict(
+        cls, data: dict, hand_models: Mapping[str, HandModelParams] | None = None
+    ) -> "HandoverConfiguration":
         """Parse a record's inputs and derive the rest. The clearance margin
-        is read from ``validation.clearance.limit``. A record whose stored
-        hand_frame, selection or validation differs from the derived one, as
-        JSON text, is a SchemaError naming that part."""
-        if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
+        is read from ``validation.clearance.limit``.
+
+        The hand is skinned again from ``hand_pose`` with the model among
+        ``hand_models`` (by default the synthetic pair) whose model_sha256
+        ``hand.model_sha256`` names. The skinned joints must lie within
+        VERIFY_TOL of the stored ``hand.joints``, from which the hand frame is
+        derived. A STORED_VERTICES_SCHEMA record names no digest: it is skinned
+        with the model of its handedness, and its stored ``hand.vertices`` are
+        held to the same bound. A record whose stored hand_frame, selection or
+        validation differs from the derived one, as JSON text, is a SchemaError
+        naming that part."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema not in (CONFIG_SCHEMA, STORED_VERTICES_SCHEMA):
             raise SchemaError(f"expected schema {CONFIG_SCHEMA!r}; re-run imagine to write one")
+        if hand_models is None:
+            hand_models = _synthetic_hand_models()
         with reading("configuration record"):
             cloud_rec, hand_rec, selection = data["cloud"], data["hand"], data["selection"]
             margin = _record_scalar(
@@ -293,6 +311,26 @@ class HandoverConfiguration:
                 _record_scalar(
                     fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m"
                 )
+            hand_pose = HandPose.from_dict(data["hand_pose"])
+            if schema == CONFIG_SCHEMA:
+                digest = hand_rec["model_sha256"]
+                model = next((m for m in hand_models.values() if m.model_sha256 == digest), None)
+            else:
+                model = hand_models.get(hand_pose.handedness)
+            if model is None:
+                raise ValueError(
+                    "the record's hand model is not among those given; pass the model it "
+                    "was imagined with as --hand-model"
+                )
+            try:
+                skinned = lbs_forward(model, hand_pose)
+            except InvalidPoseBlock as exc:
+                raise ValueError(f"hand_pose: {exc}") from exc
+            joints = _record_array(hand_rec["joints"], (NUM_KEYPOINTS, 3), "hand.joints")
+            _check_skinned(skinned.joints, joints, "hand.joints")
+            if schema == STORED_VERTICES_SCHEMA:
+                vertices = _record_array(hand_rec["vertices"], (NUM_VERTICES, 3), "hand.vertices")
+                _check_skinned(skinned.vertices, vertices, "hand.vertices")
             normals = cloud_rec.get("normals")
             config = cls(
                 task=TaskDescription.from_dict(data["task"]),
@@ -305,14 +343,8 @@ class HandoverConfiguration:
                         else _record_array(normals, (None, 3), "cloud.normals")
                     ),
                 ),
-                hand_pose=HandPose.from_dict(data["hand_pose"]),
-                hand=PosedHand(
-                    vertices=_record_array(
-                        hand_rec["vertices"], (NUM_VERTICES, 3), "hand.vertices"
-                    ),
-                    joints=_record_array(hand_rec["joints"], (NUM_KEYPOINTS, 3), "hand.joints"),
-                    handedness=hand_rec["handedness"],
-                ),
+                hand_pose=hand_pose,
+                hand=PosedHand(skinned.vertices, joints, hand_rec["handedness"]),
                 grasp=GraspCandidate.from_dict(data["grasp"]),
                 selected_index=_record_index(
                     selection["selected_index"], "selection.selected_index"
@@ -320,6 +352,7 @@ class HandoverConfiguration:
                 score=_record_scalar(selection["score"], "selection.score"),
                 fallbacks=fallbacks,
                 clearance_margin=margin,
+                hand_model=model,
             )
             # All three parts in one json.dumps a side: the two texts differ
             # exactly when one part's do, and only then is each part written
@@ -357,13 +390,34 @@ def _record_array(value, shape: tuple, name: str) -> np.ndarray:
     return decode_array(value, shape, name, _RECORD_DTYPE)
 
 
+def _check_skinned(skinned: np.ndarray, stored: np.ndarray, name: str) -> None:
+    """ValueError unless the stored array lies within VERIFY_TOL of the skinned one."""
+    gap = float(np.max(np.abs(skinned - stored)))
+    if not gap <= VERIFY_TOL:
+        raise ValueError(
+            f"{name} is {gap:.3e} m from what hand_pose and the hand model give; "
+            "re-run imagine to rewrite it"
+        )
+
+
 def save_configuration(config: HandoverConfiguration, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(config.to_json_text())
 
 
-def load_configuration(path) -> HandoverConfiguration:
-    return HandoverConfiguration.from_json_dict(load_json_file(path))
+def load_configuration(
+    path, hand_models: Mapping[str, HandModelParams] | None = None
+) -> HandoverConfiguration:
+    """Read a record; ``hand_models`` as in HandoverConfiguration.from_json_dict."""
+    return HandoverConfiguration.from_json_dict(load_json_file(path), hand_models)
+
+
+def _synthetic_hand_models() -> dict[str, HandModelParams]:
+    """The synthetic right and left hands, by handedness: the same cached
+    objects on every call, so their skinning cache is shared."""
+    from .synthetic import synthetic_hand_params
+
+    return {"right": synthetic_hand_params("right"), "left": synthetic_hand_params("left")}
 
 
 @dataclass(frozen=True)
@@ -380,16 +434,9 @@ class PipelineConfig:
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
-        from .synthetic import synthetic_hand_params
-
-        models = overrides.pop(
-            "hand_models",
-            {
-                "right": synthetic_hand_params("right"),
-                "left": synthetic_hand_params("left"),
-            },
-        )
-        return cls(hand_models=models, **overrides)
+        if "hand_models" not in overrides:
+            overrides["hand_models"] = _synthetic_hand_models()
+        return cls(**overrides)
 
     def model_for(self, handedness: str) -> HandModelParams:
         try:
@@ -413,7 +460,9 @@ def validate_configuration(
     """
     clearance = clearance_check(config.grasp, gripper, config.hand, min_clearance).min_distance
     rotation_residual = float(rotation_residuals(config.grasp.transform.rotation[None])[0])
-    frame_residual = float(abs(config.hand_frame.direction @ config.hand_frame.normal))
+    # Summed left to right, as rotation_residuals does, for the same bits on any BLAS.
+    d, n = config.hand_frame.direction.tolist(), config.hand_frame.normal.tolist()
+    frame_residual = abs((d[0] * n[0] + d[1] * n[1]) + d[2] * n[2])
     checks = {
         "jaw_width": CheckResult(
             passed=0.0 < config.grasp.width <= MAX_JAW_WIDTH_M,
@@ -466,7 +515,8 @@ def imagine_configuration(
     if candidates is None or len(candidates) == 0:
         raise ProviderEmpty("grasp provider returned no candidates")
 
-    hand = lbs_forward(config.model_for(task.handedness), hand_pose)
+    model = config.model_for(task.handedness)
+    hand = lbs_forward(model, hand_pose)
     ranked = rank_candidates(candidates, hand, config.selection)
 
     # Each tried candidate's configuration measures its clearance against the
@@ -476,7 +526,8 @@ def imagine_configuration(
     fallbacks: list[dict] = []
     for index, score in ranked:
         imagined = HandoverConfiguration(
-            task, cloud, hand_pose, hand, candidates[index], index, score, tuple(fallbacks), margin
+            task, cloud, hand_pose, hand, candidates[index], index, score, tuple(fallbacks), margin,
+            model,
         )
         clearance = imagined.selection.clearance
         if clearance.passed:

@@ -18,9 +18,12 @@ from handover.hand_model import (
     PINKY_BASE,
     THUMB_BASE,
     WRIST,
+    HandPose,
     checked_keypoints,
+    encode_array,
+    lbs_forward,
 )
-from handover.synthetic import receiving_pose_for
+from handover.synthetic import receiving_pose_for, synthetic_hand_params
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -58,6 +61,34 @@ def default_pose_library(clouds: dict) -> dict:
         }
         for name, cloud in clouds.items()
     }
+
+
+def rotation_residual_reference(r) -> float:
+    """max(max|R^T R - I|, |det R - 1|) of one 3 x 3 matrix on Python floats:
+    each entry of R^T R summed over rows left to right, det R by cofactors of
+    the first row. rotation_residuals must give these bits."""
+    r = np.asarray(r, dtype=float).tolist()
+    gram = [
+        abs(r[0][i] * r[0][j] + r[1][i] * r[1][j] + r[2][i] * r[2][j] - (i == j))
+        for i in range(3)
+        for j in range(3)
+    ]
+    det = (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+    return max(*gram, abs(det - 1))
+
+
+def as_v2(doc: dict) -> dict:
+    """A handover-config/3 record of the synthetic hand, as the /2 writer wrote
+    it: the posed vertices stored, and no model digest."""
+    pose = HandPose.from_dict(doc["hand_pose"])
+    vertices = lbs_forward(synthetic_hand_params(pose.handedness), pose).vertices
+    hand = {k: v for k, v in doc["hand"].items() if k != "model_sha256"}
+    hand["vertices"] = encode_array(vertices, "<f8")
+    return {**doc, "schema": "handover-config/2", "hand": hand}
 
 
 def candidate_set(candidates) -> CandidateSet:

@@ -21,6 +21,7 @@ from handover.geometry import (
     rot_x,
     rot_y,
     rot_z,
+    rotation_residuals,
     row_norms,
     transform_pose,
     unit,
@@ -35,6 +36,7 @@ from helpers import (
     reference_quat_canonical,
     reference_quat_multiply,
     reference_unit,
+    rotation_residual_reference,
 )
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=32)
@@ -201,6 +203,20 @@ class TestRowNorms:
 
     def test_zero_rows(self):
         assert row_norms(np.array([[0.0, -0.0, 0.0], [3.0, 4.0, 0.0]])).tolist() == [0.0, 5.0]
+
+
+class TestRotationResiduals:
+    def test_bitwise_equal_to_the_fixed_order_reference(self, rng):
+        """Near-rotations, scaled and reflected ones: every residual has the
+        bits of the scalar sums in their stated order."""
+        rotations = np.array([random_rotation(rng) for _ in range(300)])
+        rotations[100:200] += rng.normal(scale=1e-10, size=(100, 3, 3))
+        rotations[200:250] *= rng.uniform(0.5, 2.0, size=(50, 1, 1))
+        rotations[250:, :, 2] *= -1.0
+        got = rotation_residuals(rotations)
+        want = np.array([rotation_residual_reference(r) for r in rotations])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[:100] < 1e-9) and np.all(got[200:] > 1e-3)
 
 
 class TestRot6d:

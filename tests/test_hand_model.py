@@ -555,6 +555,32 @@ class TestModelValidation:
                     make()
 
 
+class TestModelDigest:
+    def test_covers_every_array_lbs_forward_reads(self, right_params):
+        """One ulp in any array lbs_forward reads, a parent, the shape basis or
+        the handedness gives another digest; a copy and other faces do not."""
+        digest = right_params.model_sha256
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert replace(right_params).model_sha256 == digest
+        assert replace(right_params, faces=None).model_sha256 == digest
+        for name in ("template_vertices", "skinning_weights", "joint_regressor", "shape_dirs"):
+            values = getattr(right_params, name).copy()
+            values.flat[7] = np.nextafter(values.flat[7], np.inf)
+            assert replace(right_params, **{name: values}).model_sha256 != digest, name
+        parents = right_params.parents.copy()
+        parents[5] = 0
+        assert replace(right_params, parents=parents).model_sha256 != digest
+        assert replace(right_params, shape_dirs=None).model_sha256 != digest
+        assert right_params.mirrored().model_sha256 != digest
+
+    def test_a_model_file_names_its_own_digest(self, right_params, tmp_path):
+        """A hand-model/1 file stores float32, so its model is another model."""
+        save_hand_model(right_params, tmp_path / "hand.json")
+        loaded = load_hand_model(tmp_path / "hand.json")
+        assert loaded.model_sha256 != right_params.model_sha256
+        assert load_hand_model(tmp_path / "hand.json").model_sha256 == loaded.model_sha256
+
+
 class TestModelFile:
     def test_round_trip_at_float32(self, right_params, tmp_path):
         path = tmp_path / "hand.json"

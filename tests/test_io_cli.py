@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from handover.hand_model import decode_array, encode_array
 from handover.intent import TaskDescription, save_catalog, save_corpus
 from handover.io_formats import export_scene, load_ply, save_ply, tessellate_sphere
 
-from helpers import candidate_set, default_pose_library
+from helpers import as_v2, candidate_set, default_pose_library
 
 ASCII_PLY = """ply
 format ascii 1.0
@@ -440,6 +443,30 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "average," in stdout
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_intent_eval_script_exits_like_evaluate(self, tmp_path, capsys, monkeypatch, source):
+        """scripts/run_intent_eval.py finds the endpoint by evaluate's rule, and
+        one that does not answer ends it with exit 1, the error on stderr and
+        no report."""
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_intent_eval.py"
+        spec = importlib.util.spec_from_file_location("run_intent_eval", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        url = "http://127.0.0.1:9/v1"
+        argv = ["run_intent_eval.py", "--report", str(tmp_path / "report.json")]
+        monkeypatch.delenv("HANDOVER_ENDPOINT_URL", raising=False)
+        if source == "flag":
+            argv += ["--endpoint", url]
+        else:
+            monkeypatch.setenv("HANDOVER_ENDPOINT_URL", url)
+        monkeypatch.setattr(sys, "argv", argv)
+        assert script.main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"resolver: endpoint {url}\n"
+        assert captured.err.startswith("TransportError: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "report.json").exists()
+
     def test_evaluate_against_mock_endpoint(self, workdir, capsys):
         import threading
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -671,6 +698,7 @@ def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
     save_candidates(candidate_set([cylinder_config.grasp]), root / "grasps.json")
     save_hand_model(right_params, root / "hand.json")
     pipeline.save_configuration(cylinder_config, root / "config.json")
+    (root / "config_v2.json").write_text(json.dumps(as_v2(cylinder_config.to_json_dict())))
     return root
 
 
@@ -775,13 +803,18 @@ def _overflowing(name, keys, value="1e999"):
 
 def _one_nan(shape, dtype):
     """Puts a NaN into a base64 array, where no JSON literal check can see it."""
+    return _one_changed(shape, dtype, lambda v: np.nan)
 
-    def change(encoded):
+
+def _one_changed(shape, dtype, change):
+    """Sets one entry of a base64 array to ``change(entry)``."""
+
+    def build(encoded):
         values = decode_array(encoded, shape, "values", dtype).copy()
-        values.flat[4] = np.nan
+        values.flat[4] = change(values.flat[4])
         return encode_array(values, dtype)
 
-    return change
+    return build
 
 
 _NAN_NORMAL_PLY = """ply
@@ -953,6 +986,39 @@ def _reflected_rotation(matrix):
                      id="record-selection-clearance-edited"),
         pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), 0),
                      id="record-clearance-limit-0"),
+        # The hand is skinned again on load, from hand_pose and the model the
+        # digest names, and its joints are held to the stored ones; a /2
+        # record's stored vertices are held to the skinned ones too.
+        pytest.param("--config", _edited("config.json", ("hand_pose", "translation", 0),
+                                         lambda x: x + 1e-6),
+                     id="record-pose-translation-edited"),
+        pytest.param("--config", _edited("config.json", ("hand_pose", "pose", 5, 2),
+                                         lambda x: x + 1e-3),
+                     id="record-pose-block-edited"),
+        pytest.param("--config", _edited("config.json", ("hand_pose", "pose", 5),
+                                         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+                     id="record-pose-block-degenerate"),
+        pytest.param("--config", _edited("config.json", ("hand", "model_sha256"), "0" * 64),
+                     id="record-model-digest-edited"),
+        pytest.param("--config", _edited("config.json", ("hand",),
+                                         lambda hand: {k: v for k, v in hand.items()
+                                                       if k != "model_sha256"}),
+                     id="record-model-digest-missing"),
+        pytest.param("--config",
+                     _edited("config.json", ("hand", "joints"),
+                             _one_changed((21, 3), "<f8", lambda x: x + 1e-8)),
+                     id="record-joints-edited"),
+        pytest.param("--config",
+                     _edited("config_v2.json", ("hand", "vertices"),
+                             _one_changed((778, 3), "<f8", lambda x: x + 1e-8)),
+                     id="record-v2-vertices-edited"),
+        pytest.param("--config",
+                     _edited("config_v2.json", ("hand", "joints"),
+                             _one_changed((21, 3), "<f8", lambda x: x + 1e-8)),
+                     id="record-v2-joints-edited"),
+        pytest.param("--config", _edited("config_v2.json", ("hand_pose", "translation", 0),
+                                         lambda x: x + 1e-6),
+                     id="record-v2-pose-edited"),
         pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), -1),
                      id="record-clearance-limit-negative"),
         pytest.param("--config",
