@@ -47,11 +47,7 @@ def run_object(cloud, handedness, config, workdir: Path, seed: int):
     target_path.write_text(json.dumps(target.to_json_dict(), sort_keys=True, indent=1))
 
     scene_path = workdir / f"{cloud.name}_{handedness}.obj"
-    io_formats.export_scene(
-        result,
-        scene_path,
-        hand_faces=synthetic.synthetic_hand_params(handedness).faces,
-    )
+    io_formats.export_scene(result, scene_path)
     return result, imagine_s, match_s
 
 

@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from handover import synthetic
-from handover.cli import _endpoint
 from handover.errors import HandoverError
-from handover.intent import EndpointResolver, RuleResolver, evaluate_corpus
+from handover.intent import EndpointConfig, EndpointResolver, RuleResolver, evaluate_corpus
 
 
 def main():
@@ -25,14 +24,13 @@ def main():
     parser.add_argument("--model", default=None)
     parser.add_argument("--report", default="intent_report.json")
     parser.add_argument("--show-failures", action="store_true")
-    parser.set_defaults(timeout=None)  # _endpoint's timeout flag, which this script lacks
     args = parser.parse_args()
 
     catalog = synthetic.default_catalog()
     corpus = synthetic.sample_corpus(catalog)
 
     try:
-        config = _endpoint(args, {})
+        config = EndpointConfig.from_env(None, base_url=args.endpoint, model=args.model)
         if config is None:
             resolver = RuleResolver(catalog)
             print("resolver: offline rules")

@@ -38,12 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from handover import io_formats, pipeline, synthetic
-from handover.cli import _hand_models
+from handover.cli import hand_models
 from handover.cli import main as handover
 from handover.cloud import ObjectCloud
 from handover.geometry import RigidTransform, rot_z
 from handover.grasp import antipodal_candidates, save_candidates
-from handover.hand_model import HandPose, load_hand_model, save_hand_model
+from handover.hand_model import HandPose, save_hand_model
 from handover.intent import save_catalog, save_corpus
 
 HANDS = ("right", "left")
@@ -98,11 +98,8 @@ def imagine_and_match(log, stem: str, cloud: str, hand: str, candidates: list[st
         *candidates, "--out", f"{stem}.json")
     if not Path(f"{stem}.json").exists():
         return
-    models, model_flags = None, []
-    if hand_model is not None:
-        models = _hand_models(load_hand_model(hand_model))
-        model_flags = ["--hand-model", hand_model]
-    config = pipeline.load_configuration(f"{stem}.json", models)
+    model_flags = [] if hand_model is None else ["--hand-model", hand_model]
+    config = pipeline.load_configuration(f"{stem}.json", hand_models(hand_model))
     observed = MOTION.apply(config.hand.joints)
     Path(f"{stem}_observed.json").write_text(json.dumps(observed.tolist()))
     run(log, "match", "--config", f"{stem}.json", "--observed-keypoints",

@@ -28,7 +28,6 @@ from .errors import (
 from .grasp import SelectionConfig
 from .hand_model import checked_keypoints, load_hand_model
 from .intent import (
-    ENDPOINT_URL_ENV,
     EndpointConfig,
     EndpointResolver,
     IntentQuery,
@@ -72,21 +71,17 @@ def _selection_config(args, settings: dict) -> SelectionConfig:
 
 
 def _endpoint(args, settings: dict) -> EndpointConfig | None:
-    """The endpoint whose URL --endpoint names, else HANDOVER_ENDPOINT_URL, else
-    the settings file, its other fields resolved in that order too; None when
-    none of them names a URL."""
-    section = settings.get("endpoint")
-    if isinstance(section, (dict, type(None))) and not pick_setting(
-        args.endpoint, section or {}, "base_url", ENDPOINT_URL_ENV
-    ):
-        return None
     return EndpointConfig.from_env(
-        section, base_url=args.endpoint, model=args.model, timeout_s=args.timeout
+        settings.get("endpoint"), base_url=args.endpoint, model=args.model, timeout_s=args.timeout
     )
 
 
-def _hand_models(params) -> dict:
-    """A hand model and its mirror image, by handedness."""
+def hand_models(path) -> dict | None:
+    """The hand model of the ``hand-model/1`` file at ``path`` and its mirror
+    image, by handedness; None when no path is given."""
+    if not path:
+        return None
+    params = load_hand_model(path)
     mirrored = params.mirrored()
     return {params.handedness: params, mirrored.handedness: mirrored}
 
@@ -99,7 +94,7 @@ def _emit_timing(name: str, seconds: float) -> None:
 
 def _cmd_infer(args) -> int:
     """--keypoints without --endpoint runs the rules; otherwise the endpoint
-    that _endpoint finds is asked, and there must be one."""
+    that EndpointConfig.from_env finds is asked, and there must be one."""
     settings = _settings(args)
     catalog = load_catalog(args.catalog)
     if args.keypoints and not args.endpoint:
@@ -139,7 +134,7 @@ def _cmd_imagine(args) -> int:
 
     config = pipeline.PipelineConfig.default(selection=_selection_config(args, settings))
     if args.hand_model:
-        config = replace(config, hand_models=_hand_models(load_hand_model(args.hand_model)))
+        config = replace(config, hand_models=hand_models(args.hand_model))
     start = time.perf_counter()
     result = pipeline.imagine_configuration(task, cloud, hand_provider, grasp_provider, config)
     _emit_timing("imagine_time_s", time.perf_counter() - start)
@@ -149,8 +144,7 @@ def _cmd_imagine(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    models = _hand_models(load_hand_model(args.hand_model)) if args.hand_model else None
-    config = pipeline.load_configuration(args.config, models)
+    config = pipeline.load_configuration(args.config, hand_models(args.hand_model))
     joints = _load_keypoints(args.observed_keypoints)
     start = time.perf_counter()
     target = pipeline.match_to_observation(config, joints)
@@ -180,14 +174,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.hand_model:
-        params = load_hand_model(args.hand_model)
-        config = pipeline.load_configuration(args.config, _hand_models(params))
-        faces = params.faces  # the file's own faces, for its mirror image too
-    else:
-        config = pipeline.load_configuration(args.config)
-        faces = config.hand_model.faces
-    io_formats.export_scene(config, args.out, hand_faces=faces)
+    config = pipeline.load_configuration(args.config, hand_models(args.hand_model))
+    io_formats.export_scene(config, args.out)
     print(args.out)
     return 0
 

@@ -71,10 +71,13 @@ class GraspCandidate:
     def from_dict(cls, data: dict) -> "GraspCandidate":
         with reading("grasp record"):
             matrix = frozen_array(data["matrix"], (16,), ValueError, "matrix")
+            source = data.get("source", "file")
+            if not isinstance(source, str):
+                raise ValueError(f"source must be a string, got {source!r}")
             return cls(
                 transform=RigidTransform.from_matrix(matrix.reshape(4, 4)),
                 width=float(frozen_array(data["width_m"], (), SchemaError, "grasp.width_m")),
-                source=str(data.get("source", "file")),
+                source=source,
             )
 
 

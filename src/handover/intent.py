@@ -268,9 +268,9 @@ class EndpointConfig:
         timeout_s=None,
         retries=None,
         api_token=None,
-    ) -> "EndpointConfig":
+    ) -> "EndpointConfig | None":
         """Resolve each field with ``pick_setting``: override > environment >
-        settings > default.
+        settings > default; None when none of them names a URL.
 
         ``settings`` is the settings file's ``endpoint`` mapping, or None.
         """
@@ -280,7 +280,7 @@ class EndpointConfig:
             raise SchemaError("endpoint settings must be a JSON object")
         url = pick_setting(base_url, settings, "base_url", ENDPOINT_URL_ENV)
         if not url:
-            raise HandoverError(f"no endpoint URL (flag, {ENDPOINT_URL_ENV} or settings file)")
+            return None
         with reading("endpoint setting"):
             return cls(
                 base_url=url,

@@ -140,10 +140,11 @@ def tessellate_sphere(center, radius: float):
     return verts, np.concatenate([top, middle, bottom])
 
 
-def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:
+def export_scene(config, path) -> None:
     """One OBJ file of three groups in a fixed order: the object's points with
-    their normals, the hand mesh (its points when ``hand_faces`` is None) and
-    the gripper's proxy spheres. Numbers are written as ``.9g`` text."""
+    their normals, the hand meshed with its model's faces (its points when the
+    model has none) and the gripper's proxy spheres. Numbers are written as
+    ``.9g`` text."""
     fmt = lambda v: format(float(v), ".9g")  # noqa: E731 - local formatter
     g_verts, g_faces = [], []
     offset = 0
@@ -162,7 +163,7 @@ def export_scene(config, path, hand_faces: np.ndarray | None = None) -> None:
     base = 1
     for label, vertices, normals, faces in (
         ("object", config.cloud.points, config.cloud.normals, None),
-        ("hand", config.hand.vertices, None, hand_faces),
+        ("hand", config.hand.vertices, None, config.hand_model.faces),
         ("gripper", np.vstack(g_verts), None, np.vstack(g_faces)),
     ):
         lines += [f"g {label}", f"usemtl {label}"]

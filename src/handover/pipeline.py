@@ -58,7 +58,6 @@ from .grasp import (
 )
 from .hand_model import (
     NUM_KEYPOINTS,
-    NUM_VERTICES,
     HandModelParams,
     HandPose,
     PosedHand,
@@ -73,8 +72,6 @@ from .hand_model import (
 from .intent import TaskDescription
 
 CONFIG_SCHEMA = "handover-config/3"
-# The schema before /3, which stored the skinned vertices; still read.
-STORED_VERTICES_SCHEMA = "handover-config/2"
 TARGET_SCHEMA = "end-effector-target/1"
 # Little-endian float64 keeps the record's large arrays bit-exact.
 _RECORD_DTYPE = "<f8"
@@ -288,13 +285,10 @@ class HandoverConfiguration:
         ``hand_models`` (by default the synthetic pair) whose model_sha256
         ``hand.model_sha256`` names. The skinned joints must lie within
         VERIFY_TOL of the stored ``hand.joints``, from which the hand frame is
-        derived. A STORED_VERTICES_SCHEMA record names no digest: it is skinned
-        with the model of its handedness, and its stored ``hand.vertices`` are
-        held to the same bound. A record whose stored hand_frame, selection or
-        validation differs from the derived one, as JSON text, is a SchemaError
-        naming that part."""
-        schema = data.get("schema") if isinstance(data, dict) else None
-        if schema not in (CONFIG_SCHEMA, STORED_VERTICES_SCHEMA):
+        derived. A record whose stored hand_frame, selection or validation
+        differs from the derived one, as JSON text, is a SchemaError naming that
+        part."""
+        if not isinstance(data, dict) or data.get("schema") != CONFIG_SCHEMA:
             raise SchemaError(f"expected schema {CONFIG_SCHEMA!r}; re-run imagine to write one")
         if hand_models is None:
             hand_models = _synthetic_hand_models()
@@ -312,11 +306,8 @@ class HandoverConfiguration:
                     fallback["min_distance_m"], f"selection.fallbacks[{k}].min_distance_m"
                 )
             hand_pose = HandPose.from_dict(data["hand_pose"])
-            if schema == CONFIG_SCHEMA:
-                digest = hand_rec["model_sha256"]
-                model = next((m for m in hand_models.values() if m.model_sha256 == digest), None)
-            else:
-                model = hand_models.get(hand_pose.handedness)
+            digest = hand_rec["model_sha256"]
+            model = next((m for m in hand_models.values() if m.model_sha256 == digest), None)
             if model is None:
                 raise ValueError(
                     "the record's hand model is not among those given; pass the model it "
@@ -328,10 +319,10 @@ class HandoverConfiguration:
                 raise ValueError(f"hand_pose: {exc}") from exc
             joints = _record_array(hand_rec["joints"], (NUM_KEYPOINTS, 3), "hand.joints")
             _check_skinned(skinned.joints, joints, "hand.joints")
-            if schema == STORED_VERTICES_SCHEMA:
-                vertices = _record_array(hand_rec["vertices"], (NUM_VERTICES, 3), "hand.vertices")
-                _check_skinned(skinned.vertices, vertices, "hand.vertices")
-            normals = cloud_rec.get("normals")
+            texts = (cloud_rec["name"], data["grasp"]["source"])
+            if not all(isinstance(text, str) for text in texts):
+                raise ValueError("cloud.name and grasp.source must be strings")
+            normals = cloud_rec["normals"]
             config = cls(
                 task=TaskDescription.from_dict(data["task"]),
                 cloud=ObjectCloud(

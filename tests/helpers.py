@@ -18,12 +18,9 @@ from handover.hand_model import (
     PINKY_BASE,
     THUMB_BASE,
     WRIST,
-    HandPose,
     checked_keypoints,
-    encode_array,
-    lbs_forward,
 )
-from handover.synthetic import receiving_pose_for, synthetic_hand_params
+from handover.synthetic import receiving_pose_for
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -79,16 +76,6 @@ def rotation_residual_reference(r) -> float:
         + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
     )
     return max(*gram, abs(det - 1))
-
-
-def as_v2(doc: dict) -> dict:
-    """A handover-config/3 record of the synthetic hand, as the /2 writer wrote
-    it: the posed vertices stored, and no model digest."""
-    pose = HandPose.from_dict(doc["hand_pose"])
-    vertices = lbs_forward(synthetic_hand_params(pose.handedness), pose).vertices
-    hand = {k: v for k, v in doc["hand"].items() if k != "model_sha256"}
-    hand["vertices"] = encode_array(vertices, "<f8")
-    return {**doc, "schema": "handover-config/2", "hand": hand}
 
 
 def candidate_set(candidates) -> CandidateSet:

@@ -355,8 +355,8 @@ class TestEndpointClient:
         assert config.base_url == "http://example.invalid/v1"
         assert config.api_token == "secret"
         monkeypatch.delenv("HANDOVER_ENDPOINT_URL")
-        with pytest.raises(HandoverError):
-            EndpointConfig.from_env()
+        assert EndpointConfig.from_env() is None
+        assert EndpointConfig.from_env({"base_url": ""}, base_url="") is None
 
     def test_config_from_env_reads_settings(self, monkeypatch):
         for name in ("URL", "TOKEN", "MODEL"):

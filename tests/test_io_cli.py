@@ -16,11 +16,11 @@ from handover.errors import (
     UnsupportedEncoding,
     reading,
 )
-from handover.hand_model import decode_array, encode_array
+from handover.hand_model import decode_array, encode_array, save_hand_model
 from handover.intent import TaskDescription, save_catalog, save_corpus
 from handover.io_formats import export_scene, load_ply, save_ply, tessellate_sphere
 
-from helpers import as_v2, candidate_set, default_pose_library
+from helpers import candidate_set, default_pose_library
 
 ASCII_PLY = """ply
 format ascii 1.0
@@ -97,12 +97,49 @@ class TestPly:
             load_ply(path)
 
 
+def _hand_signed_volume(obj_path) -> float:
+    """The volume the OBJ file's hand triangles enclose, by the divergence
+    theorem: the sum of a . (b x c) / 6 over its triangles (a, b, c). It is
+    positive when the faces wind counterclockwise seen from outside, and
+    negative when they wind inward. The synthetic hand's mesh is open, so the
+    sum is taken about a point inside it: the centroid of its vertices."""
+    group, vertices, faces = None, [], []
+    for line in Path(obj_path).read_text().splitlines():
+        kind, *fields = line.split()
+        if kind == "g":
+            group = fields[0]
+        elif kind == "v":
+            vertices.append([float(x) for x in fields])
+        elif kind == "f" and group == "hand":
+            faces.append([int(i) - 1 for i in fields])
+    faces = np.array(faces)
+    points = np.array(vertices)[np.unique(faces)]
+    tri = np.array(vertices)[faces] - points.mean(axis=0)
+    return float(np.einsum("ij,ij->", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))) / 6.0
+
+
 class TestObjExport:
+    @pytest.mark.parametrize(
+        "hand, model_flags",
+        [("right", []), ("left", []), ("left", ["--hand-model", "hand.json"])],
+        ids=["right", "left", "left-hand-model"],
+    )
+    def test_hand_mesh_winds_outward(self, workdir, monkeypatch, hand, model_flags):
+        """`export` writes the hand with its record's model's triangles, so they
+        wind outward on a left hand too, and on the mirror image of a
+        --hand-model file's right hand."""
+        monkeypatch.chdir(workdir)
+        save_hand_model(synthetic.synthetic_hand_params("right"), "hand.json")
+        Path("task.json").write_text(json.dumps({"object": "cylinder", "hand": hand}))
+        assert main(["imagine", "--task", "task.json", "--cloud", "cylinder.ply",
+                     "--sample-antipodal", *model_flags, "--out", "config.json"]) == 0
+        assert main(["export", "--config", "config.json", *model_flags, "--out", "a.obj"]) == 0
+        assert _hand_signed_volume("a.obj") > 1e-6
+
     def test_groups_and_determinism(self, cylinder_config, tmp_path):
-        faces = synthetic.synthetic_hand_params("right").faces
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"
-        export_scene(cylinder_config, a, hand_faces=faces)
-        export_scene(cylinder_config, b, hand_faces=faces)
+        export_scene(cylinder_config, a)
+        export_scene(cylinder_config, b)
         text = a.read_text()
         assert a.read_bytes() == b.read_bytes()
         groups = [l for l in text.splitlines() if l.startswith("g ")]
@@ -122,9 +159,7 @@ class TestObjExport:
 
     def test_obj_indices_are_consistent(self, cylinder_config, tmp_path):
         path = tmp_path / "scene.obj"
-        export_scene(
-            cylinder_config, path, hand_faces=synthetic.synthetic_hand_params("right").faces
-        )
+        export_scene(cylinder_config, path)
         lines = path.read_text().splitlines()
         n_vertices = sum(1 for l in lines if l.startswith("v "))
         for line in lines:
@@ -685,7 +720,6 @@ class TestCli:
 def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
     """One valid file for every CLI flag that reads JSON."""
     from handover.grasp import save_candidates
-    from handover.hand_model import save_hand_model
 
     root = tmp_path_factory.mktemp("json_inputs")
     cloud = synthetic.cylinder_cloud()
@@ -698,7 +732,6 @@ def json_inputs(tmp_path_factory, catalog, right_params, cylinder_config):
     save_candidates(candidate_set([cylinder_config.grasp]), root / "grasps.json")
     save_hand_model(right_params, root / "hand.json")
     pipeline.save_configuration(cylinder_config, root / "config.json")
-    (root / "config_v2.json").write_text(json.dumps(as_v2(cylinder_config.to_json_dict())))
     return root
 
 
@@ -987,8 +1020,7 @@ def _reflected_rotation(matrix):
         pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), 0),
                      id="record-clearance-limit-0"),
         # The hand is skinned again on load, from hand_pose and the model the
-        # digest names, and its joints are held to the stored ones; a /2
-        # record's stored vertices are held to the skinned ones too.
+        # digest names, and its joints are held to the stored ones.
         pytest.param("--config", _edited("config.json", ("hand_pose", "translation", 0),
                                          lambda x: x + 1e-6),
                      id="record-pose-translation-edited"),
@@ -1008,17 +1040,6 @@ def _reflected_rotation(matrix):
                      _edited("config.json", ("hand", "joints"),
                              _one_changed((21, 3), "<f8", lambda x: x + 1e-8)),
                      id="record-joints-edited"),
-        pytest.param("--config",
-                     _edited("config_v2.json", ("hand", "vertices"),
-                             _one_changed((778, 3), "<f8", lambda x: x + 1e-8)),
-                     id="record-v2-vertices-edited"),
-        pytest.param("--config",
-                     _edited("config_v2.json", ("hand", "joints"),
-                             _one_changed((21, 3), "<f8", lambda x: x + 1e-8)),
-                     id="record-v2-joints-edited"),
-        pytest.param("--config", _edited("config_v2.json", ("hand_pose", "translation", 0),
-                                         lambda x: x + 1e-6),
-                     id="record-v2-pose-edited"),
         pytest.param("--config", _edited("config.json", ("validation", "clearance", "limit"), -1),
                      id="record-clearance-limit-negative"),
         pytest.param("--config",

@@ -57,7 +57,6 @@ from handover.pipeline import (
 )
 
 from helpers import (
-    as_v2,
     candidate_set,
     default_pose_library,
     random_frame,
@@ -620,12 +619,6 @@ def _truncated_points(doc):
     doc["cloud"]["points"] = doc["cloud"]["points"][:-3]
 
 
-def _short_vertices(doc):
-    doc.update(as_v2(doc))
-    vertices = base64.b64decode(doc["hand"]["vertices"])
-    doc["hand"]["vertices"] = base64.b64encode(vertices[:-24]).decode("ascii")
-
-
 def _ragged_normals(doc):
     normals = base64.b64decode(doc["cloud"]["normals"])
     doc["cloud"]["normals"] = base64.b64encode(normals + bytes(8)).decode("ascii")
@@ -689,47 +682,6 @@ class TestSerialization:
         loaded = load_configuration(tmp_path / "config.json")
         assert loaded.hand_model is PipelineConfig.default().hand_models["right"]
 
-    def test_reads_a_v2_record_of_the_v2_writer(self, tmp_path):
-        """tests/golden/v2_cylinder_right_1*.json: a handover-config/2 record,
-        its observed keypoints and its target, as scripts/snapshot_outputs.py
-        wrote them with the last /2 writer. It loads (its stored vertices
-        within VERIFY_TOL of the skinned ones), matches to that writer's target
-        bytes and saves again as /3 with every other part unchanged. A /2
-        record loads only where today's rules give its stored derived parts;
-        grasp_rotation.measured is where the portable residual can differ."""
-        from handover.cli import main
-
-        golden = Path(__file__).parent / "golden"
-        numpy_version = (golden / "snapshot.sha256").read_text().split("\n", 1)[0]
-        if numpy_version != f"# numpy {np.__version__}":
-            pytest.skip(f"the record was written with {numpy_version[2:]}, whose rounding "
-                        f"this numpy {np.__version__} need not share")
-        record = golden / "v2_cylinder_right_1.json"
-        out = tmp_path / "target.json"
-        argv = ["match", "--config", str(record), "--observed-keypoints",
-                str(golden / "v2_cylinder_right_1_observed.json"), "--out", str(out)]
-        assert main(argv) == 0
-        assert out.read_bytes() == (golden / "v2_cylinder_right_1_target.json").read_bytes()
-
-        save_configuration(load_configuration(record), tmp_path / "again.json")
-        stored = json.loads(record.read_text())
-        again = json.loads((tmp_path / "again.json").read_text())
-        assert again["schema"] == "handover-config/3"
-        assert again["hand"] == {
-            "handedness": "right",
-            "joints": stored["hand"]["joints"],
-            "model_sha256": synthetic.synthetic_hand_params("right").model_sha256,
-        }
-        for part in ("task", "cloud", "hand_pose", "grasp", "hand_frame", "selection",
-                     "validation"):
-            assert again[part] == stored[part], part
-
-    def test_v2_record_is_skinned_with_its_handedness_model(self, cylinder_config):
-        doc = as_v2(cylinder_config.to_json_dict())
-        loaded = HandoverConfiguration.from_json_dict(doc)
-        assert loaded.to_json_text() == cylinder_config.to_json_text()
-        _assert_bitwise(loaded.hand.vertices, cylinder_config.hand.vertices)
-
     def test_names_the_hand_model_flag_for_an_unknown_digest(self, cylinder_config):
         right = synthetic.synthetic_hand_params("right")
         larger = dataclasses.replace(right, template_vertices=right.template_vertices * 1.001)
@@ -742,14 +694,16 @@ class TestSerialization:
         _assert_rejected(cylinder_config, tmp_path, capsys, _old_schema)
 
     def test_rejects_v1_record(self, cylinder_config, tmp_path, capsys):
-        """A handover-config/1 record is refused, even one whose derived parts
-        agree with today's rules."""
-        _assert_rejected(
-            cylinder_config, tmp_path, capsys,
-            lambda doc: doc.update(_v1_json_dict(cylinder_config)),
-        )
+        """A handover-config/1 record, and the /2 record of
+        tests/golden/v2_cylinder_right_1.json as the last /2 writer wrote it,
+        are refused, though their derived parts agree with today's rules."""
+        v2 = json.loads((Path(__file__).parent / "golden" / "v2_cylinder_right_1.json").read_text())
+        for old in (_v1_json_dict(cylinder_config), v2):
+            with pytest.raises(SchemaError, match="^expected schema 'handover-config/3'; re-run"):
+                HandoverConfiguration.from_json_dict(old)
+            _assert_rejected(cylinder_config, tmp_path, capsys, lambda doc: doc.update(old))
 
-    @pytest.mark.parametrize("corrupt", [_truncated_points, _short_vertices, _ragged_normals])
+    @pytest.mark.parametrize("corrupt", [_truncated_points, _ragged_normals])
     def test_rejects_corrupt_arrays(self, cylinder_config, tmp_path, capsys, corrupt):
         _assert_rejected(cylinder_config, tmp_path, capsys, corrupt)
 
@@ -809,9 +763,8 @@ class TestRecordRoundTrip:
         seed=st.integers(0, 2**16),
     )
     def test_load_and_save_change_nothing(self, cloud, handedness, seed):
-        """Load then save gives the saved bytes again, also from the /2 form of
-        the record, and the loaded record matches any observation to the
-        imagined record's target, bit for bit."""
+        """Load then save gives the saved bytes again, and the loaded record
+        matches any observation to the imagined record's target, bit for bit."""
         cloud = _fixture_cloud(cloud)
         try:
             config = imagine_configuration(
@@ -821,13 +774,10 @@ class TestRecordRoundTrip:
         except HandoverError:
             assume(False)  # no candidate or none clear of the hand: no record
         with tempfile.TemporaryDirectory() as tmp:
-            first, again, v2 = (Path(tmp) / name for name in ("a.json", "b.json", "v2.json"))
+            first, again = Path(tmp) / "a.json", Path(tmp) / "b.json"
             save_configuration(config, first)
             loaded = load_configuration(first)
             save_configuration(loaded, again)
-            assert again.read_bytes() == first.read_bytes()
-            v2.write_text(json.dumps(as_v2(json.loads(first.read_text()))))
-            save_configuration(load_configuration(v2), again)
             assert again.read_bytes() == first.read_bytes()
 
         rng = np.random.default_rng(seed)
@@ -929,3 +879,119 @@ class TestDerivedPartCheck:
         doc["hand_frame"]["center"] = [0.0, 0.0, 0.0]
         with pytest.raises(SchemaError, match="hand_frame is not"):
             HandoverConfiguration.from_json_dict(doc)
+
+
+# --- one-change fuzzing ------------------------------------------------------------
+
+_JSON_TYPES = ("number", "string", "bool", "null", "list", "object")
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if value is None:
+        return "null"
+    return "list" if isinstance(value, list) else "object"
+
+
+def _as_json_type(value, kind: str):
+    """``value`` given the JSON type ``kind``, keeping what a lenient reader
+    could take back: a string's number, a value's JSON text, its truth value,
+    or the value wrapped in a list or an object."""
+    if kind == "number":
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            return 1.0
+    return {
+        "string": lambda: json.dumps(value),
+        "bool": lambda: bool(value),
+        "null": lambda: None,
+        "list": lambda: [value],
+        "object": lambda: {"value": value},
+    }[kind]()
+
+
+def _one_changes(text: str):
+    """(key path, change, document) for each one-change variant of the JSON
+    text: every key of every object, nested ones too, given each other JSON
+    type, or dropped."""
+    paths = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                paths.append((*path, key))
+                walk(value, (*path, key))
+        elif isinstance(node, list):
+            for k, value in enumerate(node):
+                walk(value, (*path, k))
+
+    walk(json.loads(text), ())
+    for path in paths:
+        for change in (*_JSON_TYPES, "dropped"):
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if change == "dropped":
+                del parent[path[-1]]
+            elif change != _json_type(parent[path[-1]]):
+                parent[path[-1]] = _as_json_type(parent[path[-1]], change)
+            else:
+                continue
+            yield ".".join(map(str, path)), change, doc
+
+
+# The one-change variants that load as another valid input, each with its
+# reason; every other variant is refused or loads as the original.
+_RECORD_ALTERNATIVES = {
+    # A cloud without normals is recorded with null normals (README,
+    # Configuration), so the variant is the record of such a cloud.
+    ("cloud.normals", "null"),
+}
+_CANDIDATE_FILE_ALTERNATIVES = {
+    # A candidate without a source tag is read as "file" (README, Grasp
+    # candidates).
+    ("0.source", "dropped"),
+}
+
+
+class TestOneChangeFuzz:
+    @pytest.mark.parametrize("handedness", ["right", "left"])
+    @pytest.mark.parametrize("shape", ["cylinder", "box"])
+    def test_record_is_refused_or_loads_unchanged(self, shape, handedness):
+        """Each one-change variant of a record is a SchemaError, or loads and
+        saves as the original bytes, or is one of _RECORD_ALTERNATIVES."""
+        text = _imagined(shape, handedness).to_json_text()
+        changed = set()
+        for path, change, doc in _one_changes(text):
+            try:
+                loaded = HandoverConfiguration.from_json_dict(doc)
+            except SchemaError:
+                continue
+            if loaded.to_json_text() != text:
+                changed.add((path, change))
+        assert changed == _RECORD_ALTERNATIVES
+
+    def test_candidate_file_is_refused_or_loads_unchanged(self, cylinder_config, tmp_path):
+        from handover.grasp import load_candidates, save_candidates
+
+        path = tmp_path / "grasps.json"
+        save_candidates(candidate_set([cylinder_config.grasp]), path)
+        text = path.read_text()
+        changed = set()
+        for key, change, doc in _one_changes(text):
+            path.write_text(json.dumps(doc))
+            try:
+                loaded = load_candidates(path)
+            except SchemaError:
+                continue
+            save_candidates(loaded, path)
+            if path.read_text() != text:
+                changed.add((key, change))
+        assert changed == _CANDIDATE_FILE_ALTERNATIVES
