@@ -11,8 +11,10 @@ for both trees on the same input one after the other, the order swapping at
 every input and every pass; the host's speed swings then land on both trees
 alike. Every output passes the bench's checks. It prints, per tree, the
 median over inputs of each input's median latency, and the median and
-quartiles over inputs of the per-input ratio change / parent. Passing the
-same tree twice (an A/A run) reads a ratio of 1.00 within about 0.01.
+quartiles over inputs of the per-input ratio change / parent, and the same
+over passes of the ratio of whole-pass times, which is what the bench's
+``ops_per_s`` reads. Passing the same tree twice (an A/A run) reads a ratio
+of 1.00 within about 0.01.
 """
 
 from __future__ import annotations
@@ -115,6 +117,9 @@ def main(argv=None) -> int:
         print(f"{label:7s} median of per-input medians {statistics.median(row):.4f} ms")
     print(f"ratio change/parent per input: median {med:.4f} [{q1:.4f}-{q3:.4f}], "
           f"change faster on {int(np.sum(ratio < 1.0))}/{n}")
+    passes = times.sum(axis=2)  # (2, passes) s: a pass's whole time, which ops_per_s reads
+    q1, med, q3 = np.percentile(passes[1] / passes[0], [25, 50, 75])
+    print(f"ratio change/parent per whole pass: median {med:.4f} [{q1:.4f}-{q3:.4f}]")
     return 0
 
 

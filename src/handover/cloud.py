@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import frozen_array, row_dot, row_norms
+from .geometry import frozen_array, row_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +43,7 @@ class ObjectCloud:
 
 # Each point's plane fit runs on the point and this many nearest points.
 NORMAL_NEIGHBORS = 12
+ROOT_STEPS = 64  # Newton steps per point in _least_eigenvectors; each halves a double root's gap
 
 
 def estimate_normals(points) -> np.ndarray:
@@ -51,9 +52,8 @@ def estimate_normals(points) -> np.ndarray:
     Each neighbourhood is the point and its NORMAL_NEIGHBORS nearest points
     (fewer on a smaller cloud) from ``nearest_neighbors``: exact, in order of
     squared distance with ties broken by index. On a surface cloud the search
-    takes O(N log N) time and O(N) memory. The PCA runs on all points at once,
-    with one stacked ``eigh``, and its result is bitwise equal to a per-point
-    ``np.cov`` / ``eigh`` loop over the same neighbourhoods.
+    takes O(N log N) time and O(N) memory. The plane fits use only + - * / and
+    sqrt, summed in fixed orders: the bits do not depend on BLAS or SIMD dispatch.
     """
     p = frozen_array(points, (None, 3), ValueError, "points")
     n_points = p.shape[0]
@@ -62,26 +62,56 @@ def estimate_normals(points) -> np.ndarray:
     if n_points < 3:
         # Too few points for a plane fit; fall back to radial directions.
         centered = p - p.mean(axis=0)
-        norms = np.linalg.norm(centered, axis=1)
-        out = np.where(norms[:, None] > 1e-12, centered / np.maximum(norms, 1e-12)[:, None], 0.0)
-        out[norms <= 1e-12] = (1.0, 0.0, 0.0)
-        return out
+        norms = np.linalg.norm(centered, axis=1)[:, None]
+        return np.where(norms > 1e-12, centered / np.maximum(norms, 1e-12), (1.0, 0.0, 0.0))
 
     k = min(NORMAL_NEIGHBORS, n_points - 1)
-    idx = nearest_neighbors(p, k + 1)
+    # x[axis, j] is that coordinate of each point's j-th neighbour less their mean. np.add.reduce
+    # adds a C-ordered block's rows in turn: each sum runs in neighbour order, or x, y, z order.
+    x = np.take(p.T, nearest_neighbors(p, k + 1).T, axis=1)
+    x -= np.add.reduce(x, axis=1)[:, None] / (k + 1)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = _least_eigenvectors(*(np.add.reduce(x[i] * x[j], axis=0) for i, j in pairs))
+        outward = np.ascontiguousarray(p.T) - p.mean(axis=0)[:, None]
+        normals *= np.where(np.add.reduce(normals * outward, axis=0) < 0, -1.0, 1.0)
+        length = np.sqrt(np.add.reduce(normals * normals, axis=0))  # NaN on a single spot
+        return np.where(length > 0, normals / length, [[1.0], [0.0], [0.0]]).T.copy()
 
-    # Same operations, in the same order, as np.cov on each neighbourhood:
-    # its mean adds the rows to 0.0 one by one, then divides.
-    nbrs = p[idx]
-    total = 0.0 + nbrs[:, 0]
-    for j in range(1, k + 1):
-        total += nbrs[:, j]
-    x = nbrs - (total / (k + 1))[:, None]
-    cov = (x.transpose(0, 2, 1) @ x) * (1.0 / k)
-    normals = np.linalg.eigh(cov)[1][:, :, 0]
-    outward = p - p.mean(axis=0)
-    normals = np.where(row_dot(normals, outward)[:, None] < 0, -normals, normals)
-    return normals / np.sqrt(row_dot(normals, normals))[:, None]
+
+def _least_eigenvectors(a, b, c, d, e, f) -> np.ndarray:
+    """A (3, N) eigenvector of the least eigenvalue lam of each positive semi-definite
+    C = [[a, d, e], [d, b, f], [e, f, c]], first scaled by a power of two (exact) to a trace in
+    [0.5, 1): adj(C - lam I)'s longest column. Newton steps on det(C - lam I), falling and
+    convex below lam, rise from 0 to it, each shorter than the last, so a point stops at one
+    that is not: rounding. None passes 3 c1 / c2 >= lam, with c1 the sum of C's principal
+    2 x 2 minors and c2 its trace, which holds rounding on rank one.
+    """
+    a, b, c, d, e, f = np.ldexp(np.array([a, b, c, d, e, f]), -np.frexp(a + b + c)[1])
+    ff, ee, dd, ef, df = f * f, e * e, d * d, e * f, d * f
+    top = 3.0 * ((b * c - ff) + (a * c - ee) + (a * b - dd)) / (a + b + c)
+    diagonal, lam, last = np.array([a, b, c]), np.zeros_like(a), np.full_like(a, np.inf)
+    for _ in range(ROOT_STEPS):
+        a, b, c = diagonal - lam
+        minor = b * c - ff
+        det = a * minor + d * (ef - d * c) + e * (df - b * e)
+        step = np.minimum(det / (minor + (a * c - ee) + (a * b - dd)), top - lam)
+        if not np.count_nonzero(go := (lam + step > lam) & (step < last)):
+            break
+        lam, last = np.where(go, lam + step, lam), step * go  # a 0 or NaN step stops a point
+    a, b, c = diagonal - lam
+    c01, c02, c12 = ef - d * c, df - b * e, d * e - a * f
+    adj = np.array([[b * c - ff, c01, c02], [c01, a * c - ee, c12], [c02, c12, a * b - dd]])
+    vector = _pick(np.add.reduce(adj * adj, axis=0), adj)  # adj is symmetric
+    # Rounding leaves some of r, C - lam I's row of largest diagonal, in the column: out with it.
+    r = _pick((a, b, c), np.array([[a, d, e], [d, b, f], [e, f, c]]))
+    vector = np.where(vector.any(axis=0), vector, _pick((a, b, c), np.eye(3)[[1, 2, 0], :, None]))
+    return vector - np.add.reduce(vector * r, axis=0) / np.add.reduce(r * r, axis=0) * r
+
+
+def _pick(k, rows):
+    """Per point, rows[j] with the largest k[j], the first of equals."""
+    return np.where(k[2] > np.maximum(k[0], k[1]), rows[2], np.where(k[1] > k[0], rows[1], rows[0]))
 
 
 # The 27 cells of a 3 x 3 x 3 block, as (dx, dy, dz) steps.

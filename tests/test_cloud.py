@@ -1,13 +1,20 @@
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover import cloud
-from handover.cloud import estimate_normals, nearest_neighbors
+import handover
+from handover import cloud, synthetic
+from handover.cloud import ObjectCloud, estimate_normals, nearest_neighbors
 
 
 def _reference_neighbors(points, count, argpartition=False):
@@ -31,19 +38,79 @@ def _argpartition_neighbors(points, count):
 
 
 def _reference_normals(points, search=_reference_neighbors):
-    """The per-point np.cov / eigh loop estimate_normals was written as, on
-    each point and its 12 nearest points."""
+    """estimate_normals as a per-point loop, on each point and its 12 nearest
+    points. Returns the normals and, per point, whether its root search
+    stopped before cloud.ROOT_STEPS."""
     p = np.asarray(points, dtype=float)
     idx = search(p, min(12, len(p) - 1) + 1)
     centroid = p.mean(axis=0)
     normals = np.empty_like(p)
-    for base, row in enumerate(idx):
-        _, vecs = np.linalg.eigh(np.cov(p[row].T))
-        normal = vecs[:, 0]
-        if normal @ (p[base] - centroid) < 0:
-            normal = -normal
-        normals[base] = normal / np.linalg.norm(normal)
-    return normals
+    stopped = np.empty(len(p), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for base, row in enumerate(idx):
+            normals[base], stopped[base] = _reference_normal(p[row], p[base] - centroid)
+    return normals, stopped
+
+
+def _pick(key):
+    """The index of the largest of three, the first of equals."""
+    return 2 if key[2] > np.maximum(key[0], key[1]) else int(key[1] > key[0])
+
+
+def _reference_normal(nbrs, outward):
+    """The closed form of estimate_normals on one neighbourhood, in float64
+    scalars (IEEE division by zero) and in its order of operations: every
+    sum left to right, in neighbour order or in x, y, z order."""
+    rows = [[np.float64(v) for v in q] for q in nbrs]
+    mean = []
+    for axis in range(3):
+        total = rows[0][axis]
+        for q in rows[1:]:
+            total = total + q[axis]
+        mean.append(total / len(rows))
+    x = [[q[axis] - mean[axis] for axis in range(3)] for q in rows]
+    sums = []
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        total = x[0][i] * x[0][j]
+        for q in x[1:]:
+            total = total + q[i] * q[j]
+        sums.append(total)
+    # Scaled by a power of two to a trace in [0.5, 1), which is exact.
+    exponent = np.frexp(sums[0] + sums[1] + sums[2])[1]
+    a, b, c, d, e, f = (np.ldexp(total, -exponent) for total in sums)
+    # The least eigenvalue lam of C = [[a, d, e], [d, b, f], [e, f, c]].
+    ff, ee, dd, ef, df = f * f, e * e, d * d, e * f, d * f
+    top = 3.0 * ((b * c - ff) + (a * c - ee) + (a * b - dd)) / (a + b + c)
+    lam, last = np.float64(0.0), np.float64(np.inf)
+    for _ in range(cloud.ROOT_STEPS):
+        a_, b_, c_ = a - lam, b - lam, c - lam
+        minor = b_ * c_ - ff
+        det = a_ * minor + d * (ef - d * c_) + e * (df - b_ * e)
+        step = np.minimum(det / (minor + (a_ * c_ - ee) + (a_ * b_ - dd)), top - lam)
+        if not (lam + step > lam and step < last):
+            stopped = True
+            break
+        lam, last = lam + step, step
+    else:
+        stopped = False
+    # The longest column of adj(C - lam I), less its part along the row of
+    # C - lam I of largest diagonal, or that row's next axis for a zero column.
+    a, b, c = a - lam, b - lam, c - lam
+    c01, c02, c12 = ef - d * c, df - b * e, d * e - a * f
+    adj = [[b * c - ff, c01, c02], [c01, a * c - ee, c12], [c02, c12, a * b - dd]]
+    vector = adj[_pick([adj[0][j] * adj[0][j] + adj[1][j] * adj[1][j] + adj[2][j] * adj[2][j]
+                        for j in range(3)])]
+    which = _pick([a, b, c])
+    r = [[a, d, e], [d, b, f], [e, f, c]][which]
+    if not any(v != 0 for v in vector):
+        vector = [np.float64(axis == (which + 1) % 3) for axis in range(3)]
+    along = vector[0] * r[0] + vector[1] * r[1] + vector[2] * r[2]
+    scale = along / (r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+    normal = [vector[axis] - scale * r[axis] for axis in range(3)]
+    if normal[0] * outward[0] + normal[1] * outward[1] + normal[2] * outward[2] < 0:
+        normal = [-v for v in normal]
+    length = np.sqrt(normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2])
+    return ([v / length for v in normal] if length > 0 else [1.0, 0.0, 0.0]), stopped
 
 
 def _grid_cloud(n_points):
@@ -86,12 +153,15 @@ def _grid_rounds(monkeypatch):
     return rounds
 
 
-@pytest.mark.parametrize("n_points", [3, 13, 256, 257, 511, 512, 513, 1100, 2000])
+_SIZES = [3, 13, 256, 257, 511, 512, 513, 1100, 2000]
+
+
+@pytest.mark.parametrize("n_points", _SIZES)
 def test_bitwise_equal_to_per_point_loop(n_points):
     rng = np.random.default_rng(n_points)
     jittered = rng.normal(scale=0.05, size=(n_points, 3))
     for points in (jittered, _grid_cloud(n_points)):
-        assert np.array_equal(estimate_normals(points), _reference_normals(points))
+        assert np.array_equal(estimate_normals(points), _reference_normals(points)[0])
 
 
 def _special_clouds():
@@ -115,7 +185,64 @@ def test_special_clouds_match_brute_force(name):
     points = _special_clouds()[name]
     for count in (1, 2, 13, len(points)):
         assert np.array_equal(nearest_neighbors(points, count), _reference_neighbors(points, count))
-    assert np.array_equal(estimate_normals(points), _reference_normals(points))
+    assert np.array_equal(estimate_normals(points), _reference_normals(points)[0])
+
+
+def _oracle_clouds():
+    """The clouds of the per-point loop tests: jittered and grid clouds of each
+    size, and the special clouds."""
+    clouds = _special_clouds()
+    for n_points in _SIZES:
+        rng = np.random.default_rng(n_points)
+        clouds[f"jittered-{n_points}"] = rng.normal(scale=0.05, size=(n_points, 3))
+        clouds[f"grid-{n_points}"] = _grid_cloud(n_points)
+    return clouds
+
+
+@pytest.mark.parametrize("name", list(_oracle_clouds()))
+def test_normals_agree_with_lapack(name):
+    """Against numpy's LAPACK eigh of each neighbourhood's scatter matrix C:
+    |C n - lam n| is within 2e-15 |C| for the least eigenvalue lam, and where
+    lam is at least 1e-2 |C| below the next one, n is within 1e-13 rad of
+    eigh's eigenvector, up to sign."""
+    points = _oracle_clouds()[name]
+    normals = estimate_normals(points)
+    nbrs = points[_reference_neighbors(points, min(12, len(points) - 1) + 1)]
+    x = nbrs - nbrs.mean(axis=1, keepdims=True)
+    scatter = np.einsum("nki,nkj->nij", x, x)
+    lams, vectors = np.linalg.eigh(scatter)
+    size = np.abs(lams).max(axis=1)
+    residual = np.linalg.norm(np.einsum("nij,nj->ni", scatter, normals) - lams[:, :1] * normals,
+                              axis=1)
+    assert np.all(residual <= 2e-15 * size)
+    apart = lams[:, 1] - lams[:, 0] >= 1e-2 * size
+    least = vectors[apart, :, 0]
+    sine = np.linalg.norm(np.cross(normals[apart], least), axis=1)
+    angle = np.arctan2(sine, np.abs(np.sum(normals[apart] * least, axis=1)))
+    assert angle.max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("power", [-400, -60, 60, 400])
+def test_normals_do_not_depend_on_the_unit(power):
+    """A cloud scaled by a power of two gets the same normal bits: every sum
+    scales exactly, also at sizes where the scatter matrix's fourth powers
+    would overflow or underflow unless it is scaled first."""
+    for points in (np.random.default_rng(5).normal(scale=0.05, size=(400, 3)), _grid_cloud(300)):
+        assert np.array_equal(estimate_normals(np.ldexp(points, power)), estimate_normals(points))
+
+
+@pytest.mark.parametrize("name", ["one-spot", "collinear", "duplicates", "exact-grid"])
+def test_degenerate_neighbourhoods(name):
+    """Neighbourhoods whose least eigenvalue repeats (a spot, a line, a few
+    distinct points, symmetric grid blocks) still get finite unit normals,
+    whose root search stops on its own before cloud.ROOT_STEPS, and a cloud
+    takes them; test_normals_agree_with_lapack holds their residuals."""
+    points = _special_clouds()[name]
+    normals = estimate_normals(points)
+    assert np.isfinite(normals).all()
+    assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-12
+    assert _reference_normals(points)[1].all()
+    assert np.array_equal(ObjectCloud(name, points).with_normals().normals, normals)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -212,7 +339,7 @@ def test_argpartition_search_on_tie_free_clouds(n_points):
     new = nearest_neighbors(points, 13)
     assert np.array_equal(np.sort(old, axis=1), np.sort(new, axis=1))
     same_order = (old == new).all(axis=1)
-    old_normals = _reference_normals(points, search=_argpartition_neighbors)
+    old_normals = _reference_normals(points, search=_argpartition_neighbors)[0]
     assert np.array_equal(estimate_normals(points)[same_order], old_normals[same_order])
 
 
@@ -238,6 +365,46 @@ def test_neighbour_order_is_the_same_on_every_numpy():
     assert np.array_equal(idx, _reference_neighbors(points, 13))
     digest = hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest()
     assert digest == _INTEGER_CLOUD_DIGEST
+
+
+# SHA-256 of estimate_normals' (N, 3) little-endian float64 normals.
+_NORMALS_DIGESTS = {
+    "integer": "db0877b0bd52a00edffaa9d3ef56fe3277412f663792205dcb925dd9a9ce9701",
+    "scan": "75bd419f7ee52ddeb95ffaeb32187123b6874851b4d5e7f62aa8e920cfcf11ca",
+}
+
+
+def _normals_digests():
+    """Digests of the normals of _integer_cloud() and of the jittered scan
+    scripts/snapshot_outputs.py writes, in the float32 of its scan.ply."""
+    dense = synthetic.cylinder_cloud(rings=24, per_ring=40)
+    jitter = np.random.default_rng(0).normal(scale=5e-4, size=dense.points.shape)
+    clouds = {"integer": _integer_cloud(), "scan": (dense.points + jitter).astype(np.float32)}
+    return {
+        name: hashlib.sha256(estimate_normals(points).astype("<f8").tobytes()).hexdigest()
+        for name, points in clouds.items()
+    }
+
+
+def test_normals_are_the_same_bits_everywhere():
+    """No BLAS or LAPACK call and no SIMD-dispatched sum order touches the
+    normals: CI runs this file with numpy's SIMD dispatch off as well."""
+    assert _normals_digests() == _NORMALS_DIGESTS
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+@pytest.mark.parametrize("kernel", ["Prescott", "Nehalem"])
+def test_normals_are_the_same_bits_on_other_blas_kernels(kernel):
+    paths = [str(Path(handover.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+    script = "import json, test_cloud; print(json.dumps(test_cloud._normals_digests()))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == _NORMALS_DIGESTS
 
 
 def test_sphere_normals_are_radial():
